@@ -26,6 +26,18 @@ class InputError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 1 with a one-line message."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
+# subcommands whose results are floats whatever the numeric mode
+_NO_EXACT_MODE = {("rule", "slr"), ("rule", "scr"), ("rule", "two-alt"),
+                  ("eval", "nash-distortion"), ("opt", "pf"), ("opt", "distortion")}
+
+
 def _load_profile(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -96,11 +108,11 @@ def _parse_weights(raw: str, exact: bool):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fairvote",
-                                     description="Probabilistic voting rules over ranked "
-                                                 "ballots: rules, worst-case evaluators, "
-                                                 "instance-optimal optimizers, and "
-                                                 "lower-bound instance generators.")
+    parser = _Parser(prog="fairvote",
+                     description="Probabilistic voting rules over ranked "
+                                 "ballots: rules, worst-case evaluators, "
+                                 "instance-optimal optimizers, and "
+                                 "lower-bound instance generators.")
     parser.add_argument("--mode", choices=("float", "rational"), default="float",
                         help="numeric mode for rules/evaluators that support exact output")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized paths")
@@ -189,6 +201,16 @@ def _emit(payload) -> None:
     sys.stdout.write(render_json(payload))
 
 
+def _dump_lottery(path: str, lottery: stable.StableLottery, profile) -> None:
+    cert = stable.stability_certificate(lottery, profile)
+    rounds = [{"members": [a + 1 for a in rnd.members]} if rnd.members is not None
+              else {"z": list(rnd.z)} for rnd in lottery.rounds]
+    Path(path).write_text(render_json(
+        {"k": lottery.k, "rounds": rounds,
+         "certificate": {"per_alternative": list(cert),
+                         "bound": profile.n / lottery.k}}), encoding="utf-8")
+
+
 def _run_rule(args, exact: bool) -> int:
     name = args.rule_name
     if name == "two-alt":
@@ -207,17 +229,15 @@ def _run_rule(args, exact: bool) -> int:
         z = rules.SupportingSizeWeights(_parse_weights(args.weights, exact))
         x = rules.supporting_size_rule(profile, z)
     elif name == "slr":
-        x = stable.stable_lottery_rule(profile, seed=args.seed)
         if args.dump_lottery:
+            # the same lottery gives x and the dump; stable_lottery_rule would
+            # compute it a second time
             k = stable.committee_size(profile.m)
             lottery = stable.compute_stable_lottery(profile, k, seed=args.seed)
-            cert = stable.stability_certificate(lottery, profile)
-            rounds = [{"members": [a + 1 for a in rnd.members]} if rnd.members is not None
-                      else {"z": list(rnd.z)} for rnd in lottery.rounds]
-            Path(args.dump_lottery).write_text(render_json(
-                {"k": lottery.k, "rounds": rounds,
-                 "certificate": {"per_alternative": list(cert),
-                                 "bound": profile.n / lottery.k}}), encoding="utf-8")
+            x = stable.distribution_from_lottery(lottery, profile.m)
+            _dump_lottery(args.dump_lottery, lottery, profile)
+        else:
+            x = stable.stable_lottery_rule(profile, seed=args.seed)
     elif name == "scr":
         mode = {"exhaustive": "exhaustive", "local": "local_search",
                 "auto": "auto"}[args.search_mode]
@@ -328,6 +348,10 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     exact = args.mode == "rational"
     try:
+        name = getattr(args, f"{args.command}_name")
+        if exact and (args.command, name) in _NO_EXACT_MODE:
+            raise InputError(f"{args.command} {name} has no exact mode; "
+                             "drop --mode rational")
         if args.command == "rule":
             return _run_rule(args, exact)
         if args.command == "eval":

@@ -23,9 +23,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import mwu as mwu_mod
+from .mwu import CertificationError
 from .profiles import (
     Distribution,
     Number,
@@ -501,7 +501,7 @@ def nash_opt(u: UtilityProfile, tol: float = 1e-6, max_iters: int = 50_000,
     if strict:
         grad = U.T @ (w / (U @ y))
         if grad.max() > n * (1.0 + 10 * tol):
-            raise RuntimeError(message)
+            raise CertificationError(message)
     else:
         warnings.warn(message, RuntimeWarning)
     return Distribution(tuple(float(v) for v in y))
@@ -550,6 +550,14 @@ def nash_distortion_smallscale(x: Distribution, profile: PreferenceProfile) -> D
 # ---------------------------------------------------------------------------
 # core checking
 # ---------------------------------------------------------------------------
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first call: only core checking
+    needs it, and importing scipy costs most of the CLI's start-up."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
 
 def _coalition_game_value(M: np.ndarray, epsilon: float) -> float:
     """Certified-from-below estimate of max_y min_i (M y) via mwu_solve on the

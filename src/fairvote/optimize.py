@@ -19,6 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .metrics import DistortionReport, distortion
+from .mwu import CertificationError
 from .profiles import Distribution, PreferenceProfile, UtilityClass
 from .simplex import project_to_scaled_simplex
 
@@ -227,7 +228,7 @@ def optimize_pf(profile: PreferenceProfile, epsilon: float,
         obj.value_and_argmax, obj.subgradient, region, x0, epsilon, max_iters,
         norm_bound=norm_bound)
     if best_f > beta + 1e-9:
-        raise RuntimeError(
+        raise CertificationError(
             f"optimizer value {best_f:.6g} exceeds the guaranteed bound {beta:.6g}; "
             "increase the iteration budget")
     return OptimizationResult(Distribution(tuple(float(p) for p in best_x)),

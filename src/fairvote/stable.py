@@ -63,28 +63,49 @@ class Committee:
     achieved_c: float
 
 
-def _round_certificate(rnd: LotteryRound, profile: PreferenceProfile, k: int) -> np.ndarray:
-    """Per-alternative bound on E[V(a*, X)] contributed by one round."""
-    weights = profile.weight_array()
-    ranks = profile.rank_matrix()
-    if rnd.members is not None:
-        member_ranks = ranks[:, list(rnd.members)].min(axis=1)     # (B,)
-        prefers = ranks < member_ranks[:, None]                    # strictly above all members
-        return weights @ prefers
-    z = np.asarray(rnd.z, dtype=np.float64)
-    orders = profile.order_matrix()
-    above = np.cumsum(z[orders], axis=1)                           # z(h_i(a)) in rank order
-    mass_below = np.empty_like(above)
-    rows = np.arange(orders.shape[0])[:, None]
-    mass_below[rows, orders] = 1.0 - above                         # z(L_i(a*))
-    return weights @ np.clip(mass_below, 0.0, 1.0) ** k
+# z-rounds per block of the batched certificate: a block's temporaries hold
+# that many (num_ballots, m) float arrays, capped at _BLOCK_FLOATS floats
+_BLOCK_ROUNDS = 32
+_BLOCK_FLOATS = 1 << 20
 
 
 def stability_certificate(lottery: StableLottery, profile: PreferenceProfile) -> np.ndarray:
-    """Recompute the per-alternative certified bound from scratch."""
-    total = np.zeros(profile.m)
+    """Recompute the per-alternative certified bound from scratch.
+
+    Fixed-committee rounds count V(a*, X) exactly. z-rounds are stacked into
+    a (T, m) array and evaluated a block of rounds at a time in each ballot's
+    rank order: the running sum is z(h_i(a)), so (1 - z(h_i(a)))^k is
+    z(L_i(a))^k. The rounds are summed in rank order; one gather back to
+    alternatives and one weighted sum over ballots finish the bound.
+    """
+    k = lottery.k
+    orders = profile.order_matrix()
+    weights = profile.weight_array()
+    num_ballots, m = orders.shape
+    rows = np.arange(num_ballots)[:, None]
+    positions = np.empty_like(orders)                              # 0-based rank of a
+    positions[rows, orders] = np.arange(m)
+
+    total = np.zeros(m)
+    z_rounds = []
     for rnd in lottery.rounds:
-        total += _round_certificate(rnd, profile, lottery.k)
+        if rnd.z is not None:
+            z_rounds.append(rnd.z)
+            continue
+        member_pos = positions[:, list(rnd.members)].min(axis=1)   # (B,)
+        total += weights @ (positions < member_pos[:, None])       # strictly above all members
+    if z_rounds:
+        zs = np.asarray(z_rounds, dtype=np.float64)                # (T, m)
+        block = max(1, min(_BLOCK_ROUNDS, _BLOCK_FLOATS // (num_ballots * m)))
+        below_by_rank = np.zeros((num_ballots, m))                 # sum_t z_t(L_i(.))^k
+        for start in range(0, len(zs), block):
+            mass = zs[start:start + block][:, orders]              # (t, B, m), rank order
+            np.cumsum(mass, axis=2, out=mass)                      # z(h_i(a))
+            np.subtract(1.0, mass, out=mass)                       # z(L_i(a))
+            np.clip(mass, 0.0, 1.0, out=mass)
+            mass **= k
+            below_by_rank += mass.sum(axis=0)
+        total += np.einsum("b,ba->a", weights, below_by_rank[rows, positions])
     return total / len(lottery.rounds)
 
 

@@ -1,5 +1,9 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fairvote as fv
@@ -209,3 +213,99 @@ class TestCLIBehaviour:
     def test_twelve_significant_digits(self, capsys, triad_file, x_file):
         _, out, _ = invoke(capsys, "eval", "pf-distortion", triad_file, x_file)
         assert '"value": 2.11111111111,' in out
+
+
+@pytest.fixture()
+def sweep_file(tmp_path):
+    """m = 9, n = 20: the stable lottery needs MWU rounds, not the top-set path."""
+    profile = fv.random_profile(20, 9, np.random.default_rng(5))
+    path = tmp_path / "sweep.soc"
+    path.write_text(fv.serialize_profile(profile), encoding="utf-8")
+    return str(path)
+
+
+class TestStableLotteryDump:
+    def test_dump_leaves_stdout_unchanged(self, capsys, sweep_file, tmp_path):
+        _, plain, _ = invoke(capsys, "--seed", "4", "rule", "slr", sweep_file)
+        dump = tmp_path / "lottery.json"
+        code, dumped, _ = invoke(capsys, "--seed", "4", "rule", "slr", sweep_file,
+                                 "--dump-lottery", str(dump))
+        assert code == 0 and dumped == plain
+        payload = json.loads(dump.read_text(encoding="utf-8"))
+        assert len(payload["rounds"]) > 1
+        assert max(payload["certificate"]["per_alternative"]) < payload["certificate"]["bound"]
+
+    def test_dump_computes_the_lottery_once(self, capsys, sweep_file, tmp_path,
+                                            monkeypatch):
+        from fairvote import stable
+
+        calls = []
+        original = stable.compute_stable_lottery
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stable, "compute_stable_lottery", counted)
+        code, _, _ = invoke(capsys, "rule", "slr", sweep_file,
+                            "--dump-lottery", str(tmp_path / "lottery.json"))
+        assert code == 0 and len(calls) == 1
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [("rule", "scr", "p.soc", "--search", "exhaustive"),
+                                      ("rule",), ()])
+    def test_usage_error_exits_one_with_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(list(argv))
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0 and "usage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ("rule", "slr", "{profile}"),
+        ("rule", "scr", "{profile}"),
+        ("rule", "two-alt", "--alpha", "0.6", "--objective", "pf"),
+        ("opt", "pf", "{profile}"),
+        ("opt", "distortion", "{profile}", "--class", "unit-sum"),
+        ("eval", "nash-distortion", "{profile}", "{x}"),
+    ])
+    def test_ignored_rational_mode_is_refused(self, capsys, triad_file, x_file, argv):
+        argv = [a.format(profile=triad_file, x=x_file) for a in argv]
+        code, out, err = invoke(capsys, "--mode", "rational", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "rational" in err and err.count("\n") == 1
+
+    def test_optimizer_bound_failure_exits_two(self, capsys, triad_file, monkeypatch):
+        from fairvote import optimize
+
+        def stalled(value_and_argmax, subgradient, region, x0, *args, **kwargs):
+            return x0, 1e9, 10, False  # a value far above the guaranteed bound
+
+        monkeypatch.setattr(optimize, "_subgradient_minimize", stalled)
+        code, out, err = invoke(capsys, "opt", "pf", triad_file, "--max-iters", "10")
+        assert code == 2 and out == ""
+        assert "certification failure" in err and "Traceback" not in err
+
+    def test_strict_nash_opt_failure_exits_two(self, capsys, triad_file, x_file,
+                                               monkeypatch):
+        from fairvote import metrics
+
+        original = metrics.nash_opt
+        monkeypatch.setattr(metrics, "nash_opt",
+                            lambda u, **kwargs: original(u, max_iters=0))
+        code, out, err = invoke(capsys, "eval", "nash-distortion", triad_file, x_file)
+        assert code == 2 and out == "" and "nash_opt" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(fv.__file__).resolve().parents[1])
+    probe = "import sys, fairvote.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={"PYTHONPATH": src}, check=True)
+    assert result.stdout.strip() == "False"

@@ -78,6 +78,82 @@ class TestStableLottery:
             assert cert.max() < n / k
 
 
+
+def per_round_certificate(lottery, profile):
+    """Reference: the bound summed one round at a time, z(L_i(a)) taken as
+    1 - z(h_i(a)) from a running sum in each ballot's rank order."""
+    weights = profile.weight_array()
+    ranks = profile.rank_matrix()
+    orders = profile.order_matrix()
+    rows = np.arange(profile.num_ballots)[:, None]
+    total = np.zeros(profile.m)
+    for rnd in lottery.rounds:
+        if rnd.members is not None:
+            member_ranks = ranks[:, list(rnd.members)].min(axis=1)
+            total += weights @ (ranks < member_ranks[:, None])
+            continue
+        above = np.cumsum(np.asarray(rnd.z)[orders], axis=1)
+        below = np.empty_like(above)
+        below[rows, orders] = 1.0 - above
+        total += weights @ np.clip(below, 0.0, 1.0) ** lottery.k
+    return total / len(lottery.rounds)
+
+
+def definition_certificate(lottery, profile):
+    """Reference from the definition, one agent, alternative and round at a time."""
+    total = [0.0] * profile.m
+    for rnd in lottery.rounds:
+        for order, w in zip(profile.orders, profile.weights):
+            for pos, a in enumerate(order):
+                if rnd.members is not None:
+                    total[a] += w * all(order.index(c) > pos for c in rnd.members)
+                else:
+                    total[a] += w * sum(rnd.z[c] for c in order[pos + 1:]) ** lottery.k
+    return np.array(total) / len(lottery.rounds)
+
+
+def mixed_lottery(m, k, num_rounds, rng):
+    rounds = []
+    for t in range(num_rounds):
+        if t % 5 == 2:
+            members = rng.choice(m, size=k, replace=False)
+            rounds.append(LotteryRound(members=tuple(int(a) for a in members)))
+        else:
+            z = rng.dirichlet(np.ones(m))
+            rounds.append(LotteryRound(z=tuple(float(p) for p in z / z.sum())))
+    return StableLottery(k=k, rounds=tuple(rounds))
+
+
+class TestStabilityCertificate:
+    @pytest.mark.parametrize("m,k,num_rounds", [(1, 1, 3), (2, 1, 40), (5, 1, 70),
+                                                (9, 3, 70), (16, 4, 33), (7, 7, 5)])
+    def test_batched_matches_per_round_sum(self, m, k, num_rounds):
+        rng = np.random.default_rng(1000 * m + k)
+        n = 12
+        p = fv.random_profile(n, m, rng)
+        lottery = mixed_lottery(m, k, num_rounds, rng)
+        cert = fv.stability_certificate(lottery, p)
+        np.testing.assert_allclose(cert, per_round_certificate(lottery, p),
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(cert, definition_certificate(lottery, p),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_weighted_ballots(self):
+        rng = np.random.default_rng(4)
+        p = fv.from_rankings([(0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2)], weights=(3, 1, 5))
+        lottery = mixed_lottery(4, 2, 45, rng)
+        np.testing.assert_allclose(fv.stability_certificate(lottery, p),
+                                   per_round_certificate(lottery, p), rtol=1e-12, atol=0.0)
+
+    def test_computed_lottery_matches_per_round_sum(self):
+        rng = np.random.default_rng(21)
+        p = fv.random_profile(20, 9, rng)
+        lottery = fv.compute_stable_lottery(p, 3)
+        assert len(lottery.rounds) > 32
+        np.testing.assert_allclose(fv.stability_certificate(lottery, p),
+                                   per_round_certificate(lottery, p), rtol=1e-12, atol=0.0)
+
+
 class TestLotteryMarginals:
     def test_point_mass_round(self):
         lottery = StableLottery(k=3, rounds=(LotteryRound(z=(1.0, 0.0, 0.0, 0.0)),))
