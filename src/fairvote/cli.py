@@ -35,7 +35,8 @@ class _Parser(argparse.ArgumentParser):
 
 # subcommands whose results are floats whatever the numeric mode
 _NO_EXACT_MODE = {("rule", "slr"), ("rule", "scr"), ("rule", "two-alt"),
-                  ("eval", "nash-distortion"), ("opt", "pf"), ("opt", "distortion")}
+                  ("eval", "nw"), ("eval", "nash-distortion"), ("eval", "core"),
+                  ("opt", "pf"), ("opt", "distortion")}
 
 
 def _load_profile(path: str):

@@ -1,16 +1,20 @@
 """Welfare functions, worst-case distortion evaluators, proportional fairness,
 Nash-welfare oracles, and core checking.
 
-The utilitarian worst case over a utility class is computed per candidate
-alternative by root-finding on the sign of
+The utilitarian worst case over a utility class is the largest ratio
+SW(a*, u)/SW(x, u) over candidate alternatives a* and per-agent class
+vertices u, which is the root of
 
-    g(t) = sum_i  max over the agent's class vertices of  [u_i(a*) - t * u_i(x)],
+    g(t) = max over a* of  sum_i  max over the agent's class vertices of  [u_i(a*) - t * u_i(x)],
 
 where the per-agent vertex sets are the extreme points of the consistent
 class polytope: prefix indicators (1 on the agent's top j) for approval and
 unit-range, uniform prefixes (1/j on the top j) for unit-sum, and the union
-of both for balanced. Float mode bisects g to 1e-10; rational mode finds the
-exact root by monotone ratio iteration over the finitely many linear pieces.
+of both for balanced. Both modes find the root by Dinkelbach's ratio
+iteration (t <- the ratio of the vertex profile attaining g(t)), which ends
+after finitely many linear pieces. Float mode runs one iteration for all a*
+at once on (ballot, alternative) arrays, with a shared t; rational mode runs
+it per a* in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .profiles import (
 )
 from .simplex import project_to_scaled_simplex
 
-BISECTION_TOL = 1e-10
 ORACLE_COMBO_CAP = 100_000
 
 
@@ -174,41 +177,6 @@ def _distortion_at_exact(x: Distribution, profile: PreferenceProfile, cls: Utili
     raise RuntimeError("ratio iteration failed to terminate")  # pragma: no cover
 
 
-def _float_tables(x_arr: np.ndarray, profile: PreferenceProfile, cls: UtilityClass):
-    """Prefix masses and rank data shared by every candidate alternative."""
-    orders = profile.order_matrix()
-    prefix = np.cumsum(x_arr[orders], axis=1)            # (B, m): mass of top-j
-    ranks = profile.rank_matrix()                        # (B, m): 1-based rank of a
-    depths = np.arange(1, profile.m + 1, dtype=np.float64)
-    return orders, prefix, ranks, depths
-
-
-def _g_float(t: float, prefix, rank_col, depths, weights, use_ind: bool, use_uni: bool) -> float:
-    hit = (depths >= rank_col).astype(np.float64)        # (B, m)
-    best = None
-    if use_ind:
-        best = (hit - t * prefix).max(axis=1)
-    if use_uni:
-        uni = ((hit - t * prefix) / depths).max(axis=1)
-        best = uni if best is None else np.maximum(best, uni)
-    return float(weights @ best)
-
-
-def _g_inf_terms(prefix, rank_col, depths, use_ind: bool, use_uni: bool) -> np.ndarray:
-    """Per-ballot limit of max(A - tB) as t -> inf: max A over zero-mass
-    vertices, -inf when every vertex has positive x-mass."""
-    zero = prefix == 0.0
-    hit = (depths >= rank_col).astype(np.float64)
-    best = np.full(prefix.shape[0], -np.inf)
-    if use_ind:
-        vals = np.where(zero, hit, -np.inf)
-        best = np.maximum(best, vals.max(axis=1))
-    if use_uni:
-        vals = np.where(zero, hit / depths, -np.inf)
-        best = np.maximum(best, vals.max(axis=1))
-    return best
-
-
 def _witness_from_combo(profile: PreferenceProfile, combo, cls: UtilityClass,
                         exact: bool) -> UtilityProfile:
     rows = []
@@ -217,77 +185,82 @@ def _witness_from_combo(profile: PreferenceProfile, combo, cls: UtilityClass,
     return UtilityProfile(utils=tuple(rows), class_tag=cls, weights=profile.weights)
 
 
-def _float_combo(t: float, prefix, rank_col, depths, weights, use_ind, use_uni):
-    """Per-ballot argmax vertices at t, preferring larger A on ties; returns
-    the combo plus its weighted ratio numerator/denominator."""
-    hit = (depths >= rank_col).astype(np.float64)
-    candidates = []
-    if use_ind:
-        candidates.append((hit - t * prefix, hit, prefix, False))
-    if use_uni:
-        candidates.append(((hit - t * prefix) / depths, hit / depths, prefix / depths, True))
-    combo = []
-    sum_a = sum_b = 0.0
-    B = prefix.shape[0]
-    for b in range(B):
-        best = None
-        for vals, As, Bs, uniform in candidates:
-            j = int(np.argmax(vals[b]))
-            # scan for A-maximal among near-ties of the row max
-            row_max = vals[b, j]
-            tie_idx = np.nonzero(vals[b] >= row_max - 1e-15)[0]
-            j = max(tie_idx, key=lambda idx: (As[b, idx], idx))
-            cand = (vals[b, j], As[b, j], Bs[b, j], int(j) + 1, uniform)
-            if best is None or cand[:2] > best[:2]:
-                best = cand
-        _, A, Bv, depth, uniform = best
-        combo.append((depth, uniform))
-        sum_a += weights[b] * A
-        sum_b += weights[b] * Bv
-    return combo, sum_a, sum_b
+def _distortion_float(x: Distribution, profile: PreferenceProfile, cls: UtilityClass
+                      ) -> tuple[float, int, list[tuple[int, bool]]]:
+    """Float sup over a* and vertex profiles u of SW(a*, u)/SW(x, u); returns
+    (value, a*, per-ballot (depth, uniform)).
 
-
-def _distortion_at_float(x_arr: np.ndarray, profile: PreferenceProfile, cls: UtilityClass,
-                         a_star: int, tables, skip_below: float = 0.0):
-    orders, prefix, ranks, depths = tables
+    One Dinkelbach ratio iteration shared by every a*: at t, for all a at
+    once, g_a(t) = sum_b w_b max_v [A_v(a) - t B_v]; the argmax a* (lowest
+    index on ties) and its per-ballot argmax vertices (larger A on ties) give
+    the next t = sum w A / sum w B. t rises strictly over the finitely many
+    vertex ratios until it stops rising, and the value is the last combo's
+    own ratio, so its witness reproduces it.
+    """
     use_ind, use_uni = _vertex_depth_values(cls)
-    rank_col = ranks[:, a_star][:, None].astype(np.float64)
+    col = profile.rank_matrix() - 1                    # (B, m): 0-based rank of a on b
+    prefix = np.cumsum(x.as_array()[profile.order_matrix()], axis=1)  # mass of b's top j+1
     weights = profile.weight_array()
+    rows = np.arange(col.shape[0])
+    depths = np.arange(1, profile.m + 1)
 
-    # limit of g as t -> inf: -inf as soon as one ballot has no zero-mass
-    # vertex; a strictly positive limit certifies an unbounded ratio
-    inf_terms = _g_inf_terms(prefix, rank_col, depths, use_ind, use_uni)
-    if np.all(np.isfinite(inf_terms)) and float(weights @ inf_terms) > 0:
-        combo, _, _ = _float_combo(1e300, prefix, rank_col, depths, weights, use_ind, use_uni)
-        return math.inf, combo
+    if not prefix[:, 0].any():
+        # every top has zero mass: a zero-mass prefix reaching a* has SW(x) = 0
+        reach = col < (prefix == 0.0).sum(axis=1)[:, None]
+        a_star = int(np.argmax(reach.any(axis=0)))
+        depth = np.where(reach[:, a_star], col[:, a_star] + 1, 1)
+        return math.inf, a_star, [(int(d), not use_ind) for d in depth]
 
-    if skip_below > 0 and _g_float(skip_below, prefix, rank_col, depths, weights, use_ind, use_uni) < 0:
-        return -math.inf, None  # cannot beat the current maximum
+    # A vertex whose prefix stops above a (depth < r) has A = 0, so the best
+    # one minimises B whatever t is. A ballot's top (r = 1) has none; there
+    # the gathers give a depth-1 vertex with A = 0, which the depth-1 vertex
+    # with A = 1 beats by 1, so it never wins and needs no mask.
+    at_rank = np.take_along_axis(prefix, col, axis=1)  # B of the indicator at depth r
+    if use_uni:
+        per_depth = prefix / depths                    # B of the uniform vertex at j+1
+        low_uni = np.take_along_axis(np.minimum.accumulate(per_depth, axis=1),
+                                     np.maximum(col - 1, 0), axis=1)
 
-    tops = prefix[:, 0]
-    if np.all(tops > 0):
-        hi = 1.0 + 4.0 * profile.m * float(1.0 / tops.min())
-    else:
-        hi = 2.0
-    lo = 0.0
-    doublings = 0
-    while _g_float(hi, prefix, rank_col, depths, weights, use_ind, use_uni) > 0:
-        lo = hi
-        hi *= 2.0
-        doublings += 1
-        if doublings > 60:
-            combo, _, _ = _float_combo(hi, prefix, rank_col, depths, weights, use_ind, use_uni)
-            return math.inf, combo
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if _g_float(mid, prefix, rank_col, depths, weights, use_ind, use_uni) > 0:
-            lo = mid
-        else:
-            hi = mid
-    combo, sum_a, sum_b = _float_combo(lo, prefix, rank_col, depths, weights, use_ind, use_uni)
-    if sum_b == 0:
-        return math.inf, combo
-    return sum_a / sum_b, combo
+    t = 0.0
+    best = None
+    while True:
+        terms = []
+        if use_ind:
+            terms.append(np.maximum(1.0 - t * at_rank, -t * prefix[:, :1]))
+        if use_uni:
+            scaled = (1.0 - t * prefix) / depths
+            suffix = np.maximum.accumulate(scaled[:, ::-1], axis=1)[:, ::-1]
+            terms.append(np.maximum(np.take_along_axis(suffix, col, axis=1), -t * low_uni))
+        a_star = int(np.argmax(weights @ np.maximum.reduce(terms)))
+
+        # a*'s per-ballot candidate vertices (value, depth, uniform), in order
+        # of non-increasing A so that argmax's first maximum wins ties
+        c = col[:, a_star]
+        cands = []
+        if use_ind:
+            cands.append((1.0 - t * at_rank[:, a_star], c + 1, False))
+        if use_uni:
+            top = suffix[rows, c]
+            first = np.argmax((scaled >= top[:, None]) & (depths > c[:, None]), axis=1)
+            cands.append((top, first + 1, True))
+        if use_ind:
+            cands.append((-t * prefix[:, 0], 1, False))
+        if use_uni:
+            low = low_uni[:, a_star]
+            first = np.argmax((per_depth <= low[:, None]) & (depths <= c[:, None]), axis=1)
+            cands.append((-t * low, first + 1, True))
+        values, depth_opts, uniform_opts = zip(*cands)
+        pick = np.argmax(np.stack(values), axis=0)
+        depth = np.stack(np.broadcast_arrays(*depth_opts))[pick, rows]
+        uniform = np.array(uniform_opts)[pick]
+
+        scale = np.where(uniform, depth, 1)
+        ratio = float(weights @ ((depth > c) / scale)) / float(
+            weights @ (prefix[rows, depth - 1] / scale))
+        if ratio <= t:
+            return best
+        t = ratio
+        best = (ratio, a_star, list(zip(depth.tolist(), uniform.tolist())))
 
 
 def distortion(x: Distribution, profile: PreferenceProfile, cls: UtilityClass) -> DistortionReport:
@@ -319,22 +292,9 @@ def distortion(x: Distribution, profile: PreferenceProfile, cls: UtilityClass) -
             best_val = math.inf if s == 0 else _witness_ratio(witness, a_star, s)
         return DistortionReport(best_val, cls, a_star, witness)
 
-    x_arr = x.as_array()
-    tables = _float_tables(x_arr, profile, cls)
-    best_val = -math.inf
-    best = None
-    for a_star in range(profile.m):
-        skip = best_val if best is not None and best_val > 0 else 0.0
-        val, combo = _distortion_at_float(x_arr, profile, cls, a_star, tables, skip_below=skip)
-        if combo is None:
-            continue
-        if val > best_val:
-            best_val, best = val, (a_star, combo)
-            if val == math.inf:
-                break
-    a_star, combo = best
+    value, a_star, combo = _distortion_float(x, profile, cls)
     witness = _witness_from_combo(profile, combo, cls, exact=False)
-    return DistortionReport(best_val, cls, a_star, witness)
+    return DistortionReport(value, cls, a_star, witness)
 
 
 def _witness_ratio(witness: UtilityProfile, a_star: int, sw_x: Number) -> Number:

@@ -8,6 +8,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
@@ -144,6 +145,9 @@ class Distribution:
     def __post_init__(self):
         if not self.probs:
             raise ValueError("empty distribution")
+        # NaN passes both the sign and the sum test below
+        if any(isinstance(p, float) and not math.isfinite(p) for p in self.probs):
+            raise ValueError(f"non-finite probability in {self.probs}")
         if any(p < 0 for p in self.probs):
             raise ValueError(f"negative probability in {self.probs}")
         total = sum(self.probs)

@@ -25,6 +25,14 @@ def x_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def u_file(tmp_path):
+    path = tmp_path / "u.json"
+    path.write_text('{"class": "approval", "utils": [[1, 0, 0], [0, 1, 0], [1, 0, 0]]}',
+                    encoding="utf-8")
+    return str(path)
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -274,12 +282,28 @@ class TestExitCodes:
         ("opt", "pf", "{profile}"),
         ("opt", "distortion", "{profile}", "--class", "unit-sum"),
         ("eval", "nash-distortion", "{profile}", "{x}"),
+        ("eval", "nw", "{profile}", "{x}", "--utils", "{u}"),
+        ("eval", "core", "{profile}", "{x}", "--utils", "{u}", "--alpha", "1"),
     ])
-    def test_ignored_rational_mode_is_refused(self, capsys, triad_file, x_file, argv):
-        argv = [a.format(profile=triad_file, x=x_file) for a in argv]
+    def test_ignored_rational_mode_is_refused(self, capsys, triad_file, x_file, u_file, argv):
+        argv = [a.format(profile=triad_file, x=x_file, u=u_file) for a in argv]
         code, out, err = invoke(capsys, "--mode", "rational", *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "rational" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["distortion", "pf-distortion"])
+    @pytest.mark.parametrize("probs", ['[NaN, 0.5, 0.5]', '["inf", 0.5, 0.5]'],
+                             ids=["nan", "inf"])
+    def test_non_finite_probability_exits_one(self, capsys, tmp_path, triad_file,
+                                              command, probs):
+        xp = tmp_path / "x.json"
+        xp.write_text('{"m": 3, "probs": %s}' % probs, encoding="utf-8")
+        argv = ["eval", command, triad_file, str(xp)]
+        if command == "distortion":
+            argv += ["--class", "approval"]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad distribution") and err.count("\n") == 1
 
     def test_optimizer_bound_failure_exits_two(self, capsys, triad_file, monkeypatch):
         from fairvote import optimize

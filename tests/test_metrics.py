@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,6 +9,9 @@ import pytest
 import fairvote as fv
 from fairvote.metrics import OracleScaleError
 
+DISTORTION_CLASSES = (fv.UtilityClass.UNIT_SUM, fv.UtilityClass.APPROVAL,
+                      fv.UtilityClass.UNIT_RANGE, fv.UtilityClass.BALANCED)
+
 
 def random_exact_distribution(m, rng, digits=9):
     nums = [int(v) for v in rng.integers(0, digits + 1, size=m)]
@@ -15,6 +19,16 @@ def random_exact_distribution(m, rng, digits=9):
         nums[int(rng.integers(0, m))] = 1
     total = sum(nums)
     return fv.Distribution(tuple(F(v, total) for v in nums))
+
+
+def float_copy(x):
+    return fv.Distribution(tuple(float(p) for p in x.probs))
+
+
+def witness_ratio(x, report):
+    u = report.witness_utilities
+    sw_star = sum(w * row[report.witness_alternative] for w, row in zip(u.weights, u.utils))
+    return sw_star / float(fv.social_welfare(x, u))
 
 
 class TestSocialWelfare:
@@ -80,9 +94,10 @@ class TestDistortion:
         for _ in range(15):
             p = fv.random_profile(int(rng.integers(1, 4)), int(rng.integers(2, 5)), rng)
             x = random_exact_distribution(p.m, rng)
-            a = fv.distortion(x, p, fv.UtilityClass.APPROVAL).value
-            r = fv.distortion(x, p, fv.UtilityClass.UNIT_RANGE).value
-            assert a == r
+            for x in (x, float_copy(x)):
+                a = fv.distortion(x, p, fv.UtilityClass.APPROVAL).value
+                r = fv.distortion(x, p, fv.UtilityClass.UNIT_RANGE).value
+                assert a == r
 
     def test_witness_reproduces_value(self, triad):
         rng = np.random.default_rng(16)
@@ -90,11 +105,17 @@ class TestDistortion:
             x = fv.Distribution(tuple(rng.dirichlet(np.ones(3))))
             for cls in (fv.UtilityClass.UNIT_SUM, fv.UtilityClass.BALANCED):
                 report = fv.distortion(x, triad, cls)
-                sw_x = float(fv.social_welfare(x, report.witness_utilities))
-                sw_star = sum(w * row[report.witness_alternative]
-                              for w, row in zip(report.witness_utilities.weights,
-                                                report.witness_utilities.utils))
-                assert float(report.value) == pytest.approx(sw_star / sw_x, abs=1e-9)
+                assert float(report.value) == pytest.approx(witness_ratio(x, report), abs=1e-9)
+
+    def test_witness_reproduces_value_at_scale(self):
+        rng = np.random.default_rng(26)
+        orders = [tuple(int(a) for a in rng.permutation(49)) for _ in range(200)]
+        p = fv.from_rankings(orders, weights=[int(w) for w in rng.integers(1, 20, size=200)])
+        x = fv.Distribution(tuple(rng.dirichlet(np.ones(49))))
+        for cls in DISTORTION_CLASSES:
+            report = fv.distortion(x, p, cls)
+            assert fv.check_consistency(report.witness_utilities, p)[0]
+            assert witness_ratio(x, report) == pytest.approx(report.value, rel=1e-12)
 
     def test_class_containment_monotonicity(self):
         rng = np.random.default_rng(17)
@@ -126,16 +147,49 @@ class TestDistortion:
 
     def test_float_matches_exact(self, triad):
         rng = np.random.default_rng(18)
-        for _ in range(10):
-            x_exact = random_exact_distribution(3, rng)
-            if min(x_exact.probs) == 0:
-                continue
-            x_float = fv.Distribution(tuple(float(p) for p in x_exact.probs))
-            for cls in (fv.UtilityClass.UNIT_SUM, fv.UtilityClass.APPROVAL,
-                        fv.UtilityClass.BALANCED):
-                exact = fv.distortion(x_exact, triad, cls).value
-                approx = fv.distortion(x_float, triad, cls).value
-                assert float(approx) == pytest.approx(float(exact), abs=1e-8)
+        profiles = [triad] + [fv.random_profile(int(rng.integers(1, 13)),
+                                                int(rng.integers(1, 9)), rng)
+                              for _ in range(30)]
+        for p in profiles:
+            x_exact = random_exact_distribution(p.m, rng)
+            x_float = float_copy(x_exact)
+            for cls in DISTORTION_CLASSES:
+                exact = fv.distortion(x_exact, p, cls).value
+                approx = fv.distortion(x_float, p, cls).value
+                if exact == math.inf:
+                    assert approx == math.inf
+                else:
+                    assert approx == pytest.approx(float(exact), rel=1e-12)
+
+    def test_float_matches_bruteforce(self):
+        rng = np.random.default_rng(27)
+        for _ in range(20):
+            p = fv.random_profile(int(rng.integers(1, 4)), int(rng.integers(1, 5)), rng)
+            x = fv.Distribution(tuple(rng.dirichlet(np.ones(p.m))))
+            for cls in DISTORTION_CLASSES:
+                value = fv.distortion(x, p, cls).value
+                assert value == pytest.approx(fv.distortion_bruteforce(x, p, cls), rel=1e-12)
+
+    @pytest.mark.parametrize("text, probs", [
+        ("3 3\n1 2 3\n2 1 3\n1 3 2\n", (0.0, 0.5, 0.5)),
+        ("3 3\n1 2 3\n2 1 3\n1 3 2\n", (1.0, 0.0, 0.0)),
+        ("2 3\n2 1 3\n3 2 1\n", (1.0, 0.0, 0.0)),
+        ("2 1\n1\n1\n", (1.0,)),
+    ], ids=["zero-mass-top", "point-mass", "infinite", "one-alternative"])
+    def test_degenerate_inputs_raise_no_warnings(self, text, probs):
+        p = fv.parse_profile(text)
+        x = fv.Distribution(probs)
+        for cls in DISTORTION_CLASSES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = fv.distortion(x, p, cls)
+            assert not math.isnan(report.value)
+            assert report.value == pytest.approx(fv.distortion_bruteforce(x, p, cls),
+                                                 rel=1e-12)
+            if report.value == math.inf:
+                assert fv.social_welfare(x, report.witness_utilities) == 0
+            else:
+                assert witness_ratio(x, report) == pytest.approx(report.value, rel=1e-12)
 
 
 class TestPFValue:
