@@ -68,7 +68,7 @@ def _load_distribution(path: str, exact: bool) -> Distribution:
     try:
         probs = tuple(_parse_number(p, exact) for p in payload["probs"])
         return Distribution(probs)
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"bad distribution in {path!r}: {exc}") from None
 
 
@@ -84,7 +84,7 @@ def _load_utilities(path: str, exact: bool, weights) -> UtilityProfile:
         utils = tuple(tuple(_parse_number(v, exact) for v in row) for row in payload["utils"])
         w = tuple(payload.get("weights", weights))
         return UtilityProfile(utils=utils, class_tag=tag, weights=w)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"bad utility profile in {path!r}: {exc}") from None
 
 

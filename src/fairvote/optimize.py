@@ -20,7 +20,7 @@ import numpy as np
 
 from .metrics import DistortionReport, distortion
 from .mwu import CertificationError
-from .profiles import Distribution, PreferenceProfile, UtilityClass
+from .profiles import Distribution, PreferenceProfile, UtilityClass, prefix_mass_matrix
 from .simplex import project_to_scaled_simplex
 
 DIAMETER = math.sqrt(2.0)  # upper bound on distances within the simplex
@@ -83,20 +83,15 @@ def _project_array(v: np.ndarray, region: FeasibleRegion) -> np.ndarray:
 
 class _PFObjective:
     def __init__(self, profile: PreferenceProfile):
-        self.orders = profile.order_matrix()
-        self.ranks = profile.rank_matrix()
-        self.weights = profile.weight_array()
+        self.profile = profile
         self.n = float(profile.n)
-        self.rows = np.arange(self.orders.shape[0])[:, None]
 
     def prefix_masses(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(self.orders, dtype=np.float64)
-        out[self.rows, self.orders] = np.cumsum(x[self.orders], axis=1)
-        return out
+        return prefix_mass_matrix(x, self.profile)
 
     def payoffs(self, x: np.ndarray) -> np.ndarray:
         H = self.prefix_masses(x)
-        return (self.weights @ (1.0 / H)) / self.n
+        return (self.profile.weight_array() @ (1.0 / H)) / self.n
 
     def value_and_argmax(self, x: np.ndarray) -> tuple[float, int]:
         p = self.payoffs(x)
@@ -105,9 +100,9 @@ class _PFObjective:
 
     def subgradient(self, x: np.ndarray, a_star: int) -> np.ndarray:
         H = self.prefix_masses(x)
-        coeff = self.weights / (self.n * H[:, a_star] ** 2)
-        mask = self.ranks <= self.ranks[:, a_star][:, None]
-        return -(coeff @ mask)
+        coeff = self.profile.weight_array() / (self.n * H[:, a_star] ** 2)
+        ranks = self.profile.rank_matrix()
+        return -(coeff @ (ranks <= ranks[:, a_star][:, None]))
 
 
 def pf_subgradient(x: Distribution, profile: PreferenceProfile,

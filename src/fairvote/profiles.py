@@ -84,11 +84,26 @@ class PreferenceProfile:
                 raise ValueError(f"ballot {order} is not a permutation of 0..{self.m - 1}")
         if any(w < 1 or not isinstance(w, int) for w in self.weights):
             raise ValueError("multiplicities must be positive integers")
+        # the array view, built once: best-to-worst orders, 1-based ranks and
+        # float weights, all read-only so every caller can share them.
+        # _rank_index[b, a] is the flat index of a's rank in row b, which
+        # gathers per-ballot sums in rank order back to alternatives.
+        orders = np.asarray(self.orders, dtype=np.int64)
+        rows = np.arange(len(orders))[:, None]
+        ranks = np.empty_like(orders)
+        ranks[rows, orders] = np.arange(1, self.m + 1)
+        weights = np.asarray(self.weights, dtype=np.float64)
+        rank_index = ranks - 1 + self.m * rows
+        for name, arr in (("_orders", orders), ("_ranks", ranks), ("_weights", weights),
+                          ("_rank_index", rank_index)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_n", sum(self.weights))
 
     @property
     def n(self) -> int:
         """Total agent count (sum of multiplicities)."""
-        return sum(self.weights)
+        return self._n
 
     @property
     def num_ballots(self) -> int:
@@ -99,17 +114,16 @@ class PreferenceProfile:
         return self.orders[ballot].index(alternative) + 1
 
     def rank_matrix(self) -> np.ndarray:
-        """(num_ballots, m) int array; entry [b, a] is the 1-based rank of a."""
-        ranks = np.empty((len(self.orders), self.m), dtype=np.int64)
-        rows = np.arange(len(self.orders))[:, None]
-        ranks[rows, np.asarray(self.orders)] = np.arange(1, self.m + 1)
-        return ranks
+        """Read-only (num_ballots, m) int array; entry [b, a] is the 1-based rank of a."""
+        return self._ranks
 
     def order_matrix(self) -> np.ndarray:
-        return np.asarray(self.orders, dtype=np.int64)
+        """Read-only (num_ballots, m) int array; row b is `orders[b]`."""
+        return self._orders
 
     def weight_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=np.float64)
+        """Read-only float array of the ballot multiplicities."""
+        return self._weights
 
     def top_fractions(self, exact: bool = False) -> list:
         """Fraction of agents ranking each alternative first (the p_a vector)."""
@@ -202,6 +216,13 @@ class UtilityProfile:
         m = len(self.utils[0])
         if any(len(row) != m for row in self.utils):
             raise ValueError("ragged utility matrix")
+        # NaN passes every order and class comparison. A non-finite float
+        # makes its row's sum a non-finite float, so only such rows are scanned.
+        for b, row in enumerate(self.utils):
+            total = sum(row)
+            if isinstance(total, float) and not math.isfinite(total) and any(
+                    isinstance(v, float) and not math.isfinite(v) for v in row):
+                raise ValueError(f"non-finite utility in row {b + 1}: {row}")
         if len(self.weights) != len(self.utils):
             raise ValueError("weights/utils length mismatch")
 
@@ -341,13 +362,9 @@ def prefix_mass(x: Distribution, profile: PreferenceProfile, ballot: int,
 
 
 def prefix_mass_matrix(x: np.ndarray, profile: PreferenceProfile) -> np.ndarray:
-    """(num_ballots, m) float array H with H[b, a] = x(h_b(a)). Vectorized."""
-    orders = profile.order_matrix()
-    cums = np.cumsum(x[orders], axis=1)
-    out = np.empty_like(cums)
-    rows = np.arange(orders.shape[0])[:, None]
-    out[rows, orders] = cums
-    return out
+    """(num_ballots, m) float array H with H[b, a] = x(h_b(a)): the running
+    sum of x down each ballot, gathered back to alternatives."""
+    return np.cumsum(x[profile.order_matrix()], axis=1).take(profile._rank_index)
 
 
 def _class_violation(row: Sequence[Number], tag: UtilityClass, ballot: int) -> Optional[ConsistencyViolation]:

@@ -10,7 +10,8 @@ of agents preferring an outsider to the whole committee:
     fixed round: V(a*, X) exactly
 
 A lottery is certified stable when the per-alternative average stays strictly
-below n/k.
+below n/k. `compute_stable_lottery` returns one round: a sampler or a fixed
+committee.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .mwu import CertificationError, MatrixGame, mwu_solve
-from .profiles import Distribution, PreferenceProfile
+from .profiles import Distribution, PreferenceProfile, prefix_mass_matrix
 from .rules import harmonic_scores
 
 
@@ -63,64 +64,26 @@ class Committee:
     achieved_c: float
 
 
-# z-rounds per block of the batched certificate: a block's temporaries hold
-# that many (num_ballots, m) float arrays, capped at _BLOCK_FLOATS floats
-_BLOCK_ROUNDS = 32
-_BLOCK_FLOATS = 1 << 20
+def _iid_bound(z: np.ndarray, profile: PreferenceProfile, k: int) -> np.ndarray:
+    """Per-alternative sum_i w_i z(L_i(a))^k, with z(L_i(a)) taken as
+    1 - z(h_i(a)) and clipped into [0, 1] against rounding."""
+    below = np.clip(1.0 - prefix_mass_matrix(z, profile), 0.0, 1.0)
+    return profile.weight_array() @ below ** k
 
 
 def stability_certificate(lottery: StableLottery, profile: PreferenceProfile) -> np.ndarray:
-    """Recompute the per-alternative certified bound from scratch.
-
-    Fixed-committee rounds count V(a*, X) exactly. z-rounds are stacked into
-    a (T, m) array and evaluated a block of rounds at a time in each ballot's
-    rank order: the running sum is z(h_i(a)), so (1 - z(h_i(a)))^k is
-    z(L_i(a))^k. The rounds are summed in rank order; one gather back to
-    alternatives and one weighted sum over ballots finish the bound.
-    """
-    k = lottery.k
-    orders = profile.order_matrix()
-    weights = profile.weight_array()
-    num_ballots, m = orders.shape
-    rows = np.arange(num_ballots)[:, None]
-    positions = np.empty_like(orders)                              # 0-based rank of a
-    positions[rows, orders] = np.arange(m)
-
-    total = np.zeros(m)
-    z_rounds = []
+    """Recompute the per-alternative certified bound from scratch, one round
+    at a time: z-rounds through `_iid_bound`, fixed committees by counting
+    V(a*, X) exactly from the ranks."""
+    ranks = profile.rank_matrix()
+    total = np.zeros(profile.m)
     for rnd in lottery.rounds:
         if rnd.z is not None:
-            z_rounds.append(rnd.z)
-            continue
-        member_pos = positions[:, list(rnd.members)].min(axis=1)   # (B,)
-        total += weights @ (positions < member_pos[:, None])       # strictly above all members
-    if z_rounds:
-        zs = np.asarray(z_rounds, dtype=np.float64)                # (T, m)
-        block = max(1, min(_BLOCK_ROUNDS, _BLOCK_FLOATS // (num_ballots * m)))
-        below_by_rank = np.zeros((num_ballots, m))                 # sum_t z_t(L_i(.))^k
-        for start in range(0, len(zs), block):
-            mass = zs[start:start + block][:, orders]              # (t, B, m), rank order
-            np.cumsum(mass, axis=2, out=mass)                      # z(h_i(a))
-            np.subtract(1.0, mass, out=mass)                       # z(L_i(a))
-            np.clip(mass, 0.0, 1.0, out=mass)
-            mass **= k
-            below_by_rank += mass.sum(axis=0)
-        total += np.einsum("b,ba->a", weights, below_by_rank[rows, positions])
+            total += _iid_bound(np.asarray(rnd.z), profile, lottery.k)
+        else:
+            member_ranks = ranks[:, list(rnd.members)].min(axis=1)
+            total += profile.weight_array() @ (ranks < member_ranks[:, None])
     return total / len(lottery.rounds)
-
-
-def _payoff_environment(profile: PreferenceProfile, k: int):
-    orders = profile.order_matrix()
-    weights = profile.weight_array()
-    rows = np.arange(orders.shape[0])[:, None]
-
-    def payoffs_for(z: np.ndarray) -> np.ndarray:
-        above = np.cumsum(z[orders], axis=1)
-        below = np.empty_like(above)
-        below[rows, orders] = 1.0 - above
-        return weights @ np.clip(below, 0.0, 1.0) ** k
-
-    return payoffs_for
 
 
 def _top_set_fast_path(profile: PreferenceProfile, k: int) -> Optional[tuple[int, ...]]:
@@ -137,16 +100,21 @@ def _top_set_fast_path(profile: PreferenceProfile, k: int) -> Optional[tuple[int
     return tuple(tops)
 
 
-def compute_stable_lottery(profile: PreferenceProfile, k: int, seed: int = 0,
-                           check_every: int = 1000) -> StableLottery:
+def compute_stable_lottery(profile: PreferenceProfile, k: int, seed: int = 0) -> StableLottery:
     """Compute a certified stable lottery of committee size k.
 
-    The adversary runs multiplicative weights over alternatives with payoff
-    sum_i z(L_i(a*))^k; the minimizer answers any adversary mix z with the
-    i.i.d. sampler drawn from z itself, whose realized value is at most
-    n/(k+1). Target gap epsilon = (n/k - n/(k+1)) / 2, so the averaged lottery
-    is certified strictly below n/k. The certificate is recomputed from
-    scratch on the final lottery.
+    The adversary runs multiplicative weights (Freund & Schapire 1999) over
+    alternatives with payoff f_a(z) = sum_i z(L_i(a*))^k; the minimizer
+    answers any adversary mix z with the i.i.d. sampler drawn from z itself,
+    whose realized value is at most n/(k+1). Target gap
+    epsilon = (n/k - n/(k+1)) / 2, and MWU stops once the average of the
+    responses' payoffs lies strictly below n/k.
+
+    The lottery is one round: the mean response z-bar (MWU's averaged mix).
+    Each f_a is a k-th power of a nonnegative linear form of z, hence convex,
+    so by Jensen f_a(z-bar) <= avg_t f_a(z_t): the single sampler certifies
+    at least as well as the lottery of all rounds. The certificate is
+    recomputed from scratch on the returned lottery.
     """
     if not 1 <= k <= profile.m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={profile.m}")
@@ -160,23 +128,21 @@ def compute_stable_lottery(profile: PreferenceProfile, k: int, seed: int = 0,
         assert cert.max() < budget
         return lottery
 
-    payoffs_for = _payoff_environment(profile, k)
     epsilon = 0.5 * (n / k - n / (k + 1))
     game = MatrixGame(num_rows=profile.m, payoff_bound=float(n))
 
     def best_response(mix: np.ndarray):
-        z = mix.copy()
-        return z, payoffs_for(z)
+        # the response is the mix itself, so row_mix is the mean response
+        return None, _iid_bound(mix, profile, k)
 
     def certified(_rounds: int, avg_payoffs: np.ndarray) -> bool:
         # small relative margin so the from-scratch recompute (different
         # summation order) cannot flip a borderline certificate
         return float(avg_payoffs.max()) < budget * (1.0 - 1e-9)
 
-    result = mwu_solve(game, best_response, epsilon, seed=seed,
-                       stop_check=certified, check_every=check_every)
-    lottery = StableLottery(
-        k=k, rounds=tuple(LotteryRound(z=tuple(float(p) for p in z)) for z in result.responses))
+    result = mwu_solve(game, best_response, epsilon, seed=seed, stop_check=certified)
+    z_bar = tuple(float(p) for p in result.row_mix)
+    lottery = StableLottery(k=k, rounds=(LotteryRound(z=z_bar),))
     cert = stability_certificate(lottery, profile)
     if not cert.max() < budget:
         raise CertificationError(

@@ -6,8 +6,6 @@ stability certificates), and the proportional-fairness optimizer against
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,22 +34,8 @@ def sweep_instances(trials: int, seed: int, m_list: Sequence[int] = DEFAULT_M_LI
     return instances
 
 
-def _workers() -> int:
-    raw = os.environ.get("FAIRVOTE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run(fn, instances):
-    workers = _workers()
-    if workers == 1:
-        results = [fn(item) for item in instances]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, instances))
-    records = [r for chunk in results for r in chunk]
+    records = [r for item in instances for r in fn(item)]
     records.sort(key=lambda rec: (rec["instance"], rec["metric"]))
     return {"records": records, "all_pass": all(r["pass"] for r in records)}
 

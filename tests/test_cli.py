@@ -240,7 +240,7 @@ class TestStableLotteryDump:
                                  "--dump-lottery", str(dump))
         assert code == 0 and dumped == plain
         payload = json.loads(dump.read_text(encoding="utf-8"))
-        assert len(payload["rounds"]) > 1
+        assert len(payload["rounds"]) == 1 and "z" in payload["rounds"][0]
         assert max(payload["certificate"]["per_alternative"]) < payload["certificate"]["bound"]
 
     def test_dump_computes_the_lottery_once(self, capsys, sweep_file, tmp_path,
@@ -304,6 +304,36 @@ class TestExitCodes:
         code, out, err = invoke(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: bad distribution") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["sw", "nw", "pf-value", "core"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", '"1/0"'],
+                             ids=["nan", "inf", "zero-denominator"])
+    def test_non_finite_utility_exits_one(self, capsys, tmp_path, triad_file, x_file,
+                                          command, value):
+        up = tmp_path / "u.json"
+        up.write_text('{"class": "unit-sum", "utils": [[0.5, 0.5, 0], [%s, 1, 0], '
+                      '[0.25, 0.25, 0.5]]}' % value, encoding="utf-8")
+        argv = ["eval", command, triad_file, x_file, "--utils", str(up)]
+        if command == "core":
+            argv += ["--alpha", "1"]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad utility profile") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("probs,utils,bad", [
+        ("[1, 0, 0]", "[[1, 0, 0], [Infinity, 1, 0], [1, 0, 0]]", "utility profile"),
+        ("[Infinity, 0, 0]", "[[1, 0, 0], [0, 1, 0], [1, 0, 0]]", "distribution"),
+    ], ids=["utilities", "distribution"])
+    def test_infinite_exact_input_exits_one(self, capsys, tmp_path, triad_file,
+                                            probs, utils, bad):
+        # Fraction(inf) raises OverflowError, not ValueError
+        xp, up = tmp_path / "x.json", tmp_path / "u.json"
+        xp.write_text('{"m": 3, "probs": %s}' % probs, encoding="utf-8")
+        up.write_text('{"utils": %s}' % utils, encoding="utf-8")
+        code, out, err = invoke(capsys, "--mode", "rational", "eval", "sw", triad_file,
+                                str(xp), "--utils", str(up))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: bad {bad}") and err.count("\n") == 1
 
     def test_optimizer_bound_failure_exits_two(self, capsys, triad_file, monkeypatch):
         from fairvote import optimize

@@ -158,3 +158,24 @@ class TestDistribution:
             x_half.probs = (1, 0, 0)
         with pytest.raises(Exception):
             triad.m = 5
+
+
+class TestArrayView:
+    def test_matches_the_ballots(self):
+        p = fv.from_rankings([(2, 0, 1), (1, 2, 0)], weights=(3, 2))
+        assert p.order_matrix().tolist() == [[2, 0, 1], [1, 2, 0]]
+        assert p.rank_matrix().tolist() == [[2, 3, 1], [3, 1, 2]]
+        assert p.weight_array().tolist() == [3.0, 2.0] and p.n == 5
+
+    @pytest.mark.parametrize("method", ["rank_matrix", "order_matrix", "weight_array"])
+    def test_is_built_once_and_read_only(self, triad, method):
+        arr = getattr(triad, method)()
+        assert arr is getattr(triad, method)()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
+def test_utility_profile_rejects_non_finite_floats():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            fv.UtilityProfile(utils=((1.0, bad),), class_tag=fv.UtilityClass.ALL, weights=(1,))

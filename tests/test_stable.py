@@ -149,9 +149,26 @@ class TestStabilityCertificate:
         rng = np.random.default_rng(21)
         p = fv.random_profile(20, 9, rng)
         lottery = fv.compute_stable_lottery(p, 3)
-        assert len(lottery.rounds) > 32
+        assert len(lottery.rounds) == 1 and lottery.rounds[0].z is not None
         np.testing.assert_allclose(fv.stability_certificate(lottery, p),
                                    per_round_certificate(lottery, p), rtol=1e-12, atol=0.0)
+
+    def test_mean_sampler_certifies_at_least_as_well(self):
+        # each f_a(z) = sum_i w_i z(L_i(a))^k is convex in z, so by Jensen the
+        # lottery's mean sampler certifies no worse than the lottery itself
+        rng = np.random.default_rng(22)
+        for trial in range(40):
+            m = int(rng.integers(1, 10))
+            k = int(rng.integers(1, m + 1))
+            p = fv.random_profile(int(rng.integers(1, 15)), m, rng)
+            zs = rng.dirichlet(np.full(m, 0.3 if trial % 2 else 1.0),
+                               size=int(rng.integers(2, 30)))
+            lottery = StableLottery(k=k, rounds=tuple(
+                LotteryRound(z=tuple(float(q) for q in z)) for z in zs))
+            mean = StableLottery(k=k, rounds=(
+                LotteryRound(z=tuple(float(q) for q in zs.mean(axis=0))),))
+            assert np.all(fv.stability_certificate(mean, p)
+                          <= fv.stability_certificate(lottery, p) + 1e-12)
 
 
 class TestLotteryMarginals:
