@@ -5,6 +5,8 @@ and the stress harness. Results are JSON on stdout; exit code 0 on success,
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -51,40 +53,55 @@ def _load_profile(path: str):
 
 
 def _parse_number(token, exact: bool):
+    """A number given as text, or a JSON number, as a Fraction (exact) or a
+    float; "p/q" text is always a Fraction. JSON booleans are not numbers."""
     if isinstance(token, str):
         if "/" in token:
             return Fraction(token)
-        return Fraction(token) if exact else float(token)
+    elif isinstance(token, bool) or not isinstance(token, (int, float)):
+        raise ValueError(f"not a number: {json.dumps(token)}")
     return Fraction(token) if exact else float(token)
 
 
-def _load_distribution(path: str, exact: bool) -> Distribution:
-    import json
-
+def _read_json(path: str, what: str):
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read distribution {path!r}: {exc}") from None
+        raise InputError(f"cannot read {what} {path!r}: {exc}") from None
+
+
+def _json_list(payload, key: str, default=None) -> list:
+    """payload[key] (or `default` when absent), which must be a JSON array."""
+    if not isinstance(payload, dict):
+        raise ValueError("expected a JSON object")
+    value = payload.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key!r} must be an array, got {json.dumps(value)}")
+    return value
+
+
+def _load_distribution(path: str, exact: bool) -> Distribution:
+    payload = _read_json(path, "distribution")
     try:
-        probs = tuple(_parse_number(p, exact) for p in payload["probs"])
+        probs = tuple(_parse_number(p, exact) for p in _json_list(payload, "probs"))
         return Distribution(probs)
-    except (KeyError, ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"bad distribution in {path!r}: {exc}") from None
 
 
 def _load_utilities(path: str, exact: bool, weights) -> UtilityProfile:
-    import json
-
+    payload = _read_json(path, "utilities")
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read utilities {path!r}: {exc}") from None
-    try:
+        rows = _json_list(payload, "utils")
+        if not all(isinstance(row, list) for row in rows):
+            raise ValueError("each utility row must be an array")
+        utils = tuple(tuple(_parse_number(v, exact) for v in row) for row in rows)
+        w = _json_list(payload, "weights", weights)
+        for v in w:
+            _parse_number(v, exact)  # the weights are kept as given
         tag = UtilityClass(payload.get("class", "all"))
-        utils = tuple(tuple(_parse_number(v, exact) for v in row) for row in payload["utils"])
-        w = tuple(payload.get("weights", weights))
-        return UtilityProfile(utils=utils, class_tag=tag, weights=w)
-    except (KeyError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        return UtilityProfile(utils=utils, class_tag=tag, weights=tuple(w))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"bad utility profile in {path!r}: {exc}") from None
 
 
@@ -344,9 +361,14 @@ def _run_stress(args) -> int:
     return 0 if result["all_pass"] else 2
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     exact = args.mode == "rational"
     try:
         name = getattr(args, f"{args.command}_name")

@@ -1,5 +1,7 @@
-"""Deterministic JSON rendering: fixed key order (insertion order), floats at
-12 significant digits, exact rationals as "p/q" strings, infinity as "inf"."""
+"""Deterministic JSON rendering: fixed key order (insertion order); a float
+with an integral value below 1e15 in magnitude as "N.0", any other finite
+float at 12 significant digits, infinities as the strings "inf" and "-inf";
+exact rationals as "p/q" strings. NaN raises ValueError."""
 
 from __future__ import annotations
 
@@ -8,7 +10,33 @@ import math
 from fractions import Fraction
 
 
-def render_value(value) -> str:
+def _render_float(value: float) -> str:
+    if math.isinf(value):
+        return '"inf"' if value > 0 else '"-inf"'
+    if value == int(value) and abs(value) < 1e15:  # int(NaN) raises ValueError
+        return f"{value:.1f}"
+    return f"{value:.12g}"
+
+
+def _render(value, floats: dict) -> str:
+    """`floats` caches the text of each nonzero plain float met so far in one
+    render; 0.0 and -0.0 are one dict key but print apart, so zeros bypass it."""
+    kind = type(value)
+    if kind is float:
+        return _render_float(value)
+    if kind is list or kind is tuple:
+        return "[" + ", ".join([
+            _render(item, floats) if type(item) is not float
+            else floats.get(item) or floats.setdefault(item, _render_float(item)) if item
+            else "-0.0" if math.copysign(1.0, item) < 0 else "0.0"
+            for item in value]) + "]"
+    if kind is dict:
+        return "{" + ", ".join([f"{json.dumps(str(k))}: {_render(v, floats)}"
+                                for k, v in value.items()]) + "}"
+    return _render_other(value, floats)
+
+
+def _render_other(value, floats: dict) -> str:
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -18,22 +46,21 @@ def render_value(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if math.isinf(value):
-            return '"inf"' if value > 0 else '"-inf"'
-        if value == int(value) and abs(value) < 1e15:
-            return f"{value:.1f}"
-        return f"{value:.12g}"
+        return _render_float(value)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {render_value(v)}" for k, v in value.items())
-        return "{" + items + "}"
+        return _render(dict(value), floats)
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(render_value(v) for v in value) + "]"
+        return _render(list(value), floats)
     # numpy scalars and the like
     if hasattr(value, "item"):
-        return render_value(value.item())
+        return _render(value.item(), floats)
     raise TypeError(f"cannot render {type(value)!r}")
+
+
+def render_value(value) -> str:
+    return _render(value, {})
 
 
 def render_json(value) -> str:

@@ -78,22 +78,19 @@ class PreferenceProfile:
             raise ValueError("need at least one ballot")
         if len(self.orders) != len(self.weights):
             raise ValueError("orders/weights length mismatch")
-        full = tuple(range(self.m))
-        for order in self.orders:
-            if tuple(sorted(order)) != full:
-                raise ValueError(f"ballot {order} is not a permutation of 0..{self.m - 1}")
+        orders = _ballot_array(self.orders, self.m)
+        ranks, bad = _ranks(orders, 0)
+        if bad is not None:
+            raise ValueError(f"ballot {self.orders[bad]} is not a permutation "
+                             f"of 0..{self.m - 1}")
         if any(w < 1 or not isinstance(w, int) for w in self.weights):
             raise ValueError("multiplicities must be positive integers")
         # the array view, built once: best-to-worst orders, 1-based ranks and
         # float weights, all read-only so every caller can share them.
         # _rank_index[b, a] is the flat index of a's rank in row b, which
         # gathers per-ballot sums in rank order back to alternatives.
-        orders = np.asarray(self.orders, dtype=np.int64)
-        rows = np.arange(len(orders))[:, None]
-        ranks = np.empty_like(orders)
-        ranks[rows, orders] = np.arange(1, self.m + 1)
         weights = np.asarray(self.weights, dtype=np.float64)
-        rank_index = ranks - 1 + self.m * rows
+        rank_index = ranks - 1 + self.m * np.arange(len(orders))[:, None]
         for name, arr in (("_orders", orders), ("_ranks", ranks), ("_weights", weights),
                           ("_rank_index", rank_index)):
             arr.flags.writeable = False
@@ -148,6 +145,34 @@ class PreferenceProfile:
 
     def __hash__(self) -> int:
         return hash(self.canonical())
+
+
+def _ballot_array(ballots: Sequence[Sequence[int]], m: int) -> np.ndarray:
+    """The ballots as a (len(ballots), m) int64 array."""
+    try:
+        orders = np.asarray(ballots)
+    except ValueError:  # ragged
+        orders = None
+    if orders is None or orders.shape != (len(ballots), m) or orders.dtype.kind not in "iu":
+        raise ValueError(f"ballots must be sequences of {m} integers in 0..{m - 1}")
+    return orders.astype(np.int64, copy=False)
+
+
+def _ranks(orders: np.ndarray, base: int) -> tuple[np.ndarray, Optional[int]]:
+    """Check and invert a (B, m) array of ballots over the alternatives
+    base..base+m-1. Returns the (B, m) int64 array whose entry [b, a] is the
+    1-based rank of alternative base+a in row b, and the index of the first
+    row that is not a permutation (None when every row is one); the ranks of
+    such a row mean nothing."""
+    b, m = orders.shape
+    values = orders - base
+    in_range = ((values >= 0) & (values < m)).all(axis=1)
+    if not in_range.all():  # rows with an entry out of range list alternative 0 only
+        values = np.where(in_range[:, None], values, 0).astype(np.int64)
+    ranks = np.zeros((b, m), dtype=np.int64)
+    ranks[np.arange(b)[:, None], values] = np.arange(1, m + 1)
+    bad = ~in_range | (ranks == 0).any(axis=1)  # a rank of 0: an alternative left out
+    return ranks, (int(bad.argmax()) if bad.any() else None)
 
 
 @dataclass(frozen=True, eq=True)
@@ -282,58 +307,89 @@ def parse_profile(text: str) -> PreferenceProfile:
     "r1 r2 ... rm" or "k: r1 ... rm" (multiplicity k), alternatives listed
     best-to-worst, 1-indexed. Lines starting with '#' are comments.
     """
+    lines = text.splitlines()
     header: Optional[tuple[int, int]] = None
-    orders: list[tuple[int, ...]] = []
+    rows: list[list[int]] = []
+    linenos: list[int] = []
     weights: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 2:
-                raise ProfileFormatError(f"expected header 'n m', got {line!r}", lineno)
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if header is None:
+                parts = line.split()
+                if len(parts) != 2:
+                    raise ProfileFormatError(f"expected header 'n m', got {line!r}", lineno)
+                try:
+                    n, m = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise ProfileFormatError(f"non-integer header {line!r}", lineno) from None
+                if n < 1 or m < 1:
+                    raise ProfileFormatError(f"need n >= 1 and m >= 1, got n={n} m={m}",
+                                             lineno)
+                header = (n, m)
+                continue
+            head, body = _split_ballot(line)
+            mult = 1
+            if head is not None:
+                try:
+                    mult = int(head)
+                except ValueError:
+                    raise ProfileFormatError(f"bad multiplicity {head!r}", lineno) from None
+                if mult < 1:
+                    raise ProfileFormatError(f"multiplicity must be positive, got {mult}",
+                                             lineno)
             try:
-                n, m = int(parts[0]), int(parts[1])
+                ranks = list(map(int, body.split()))
             except ValueError:
-                raise ProfileFormatError(f"non-integer header {line!r}", lineno) from None
-            if n < 1 or m < 1:
-                raise ProfileFormatError(f"need n >= 1 and m >= 1, got n={n} m={m}", lineno)
-            header = (n, m)
-            continue
-        n, m = header
-        mult = 1
-        body = line
-        if ":" in line:
-            head, body = line.split(":", 1)
-            try:
-                mult = int(head.strip())
-            except ValueError:
-                raise ProfileFormatError(f"bad multiplicity {head.strip()!r}", lineno) from None
-            if mult < 1:
-                raise ProfileFormatError(f"multiplicity must be positive, got {mult}", lineno)
-        try:
-            ranks = [int(tok) for tok in body.split()]
-        except ValueError:
-            raise ProfileFormatError(f"non-integer ballot entry in {body.strip()!r}", lineno) from None
-        if len(ranks) != m:
-            raise ProfileFormatError(f"ballot has {len(ranks)} entries, expected {m}", lineno)
-        for r in ranks:
-            if not 1 <= r <= m:
-                raise ProfileFormatError(f"alternative {r} out of range 1..{m}", lineno)
-        if len(set(ranks)) != m:
-            raise ProfileFormatError(f"ballot {body.strip()!r} is not a permutation", lineno)
-        orders.append(tuple(r - 1 for r in ranks))
-        weights.append(mult)
+                raise ProfileFormatError(f"non-integer ballot entry in {body.strip()!r}",
+                                         lineno) from None
+            if len(ranks) != m:
+                raise ProfileFormatError(f"ballot has {len(ranks)} entries, expected {m}",
+                                         lineno)
+            rows.append(ranks)
+            linenos.append(lineno)
+            weights.append(mult)
+    except ProfileFormatError:
+        # a bad ballot on an earlier line is the first error
+        _check_ballots(rows, linenos, lines)
+        raise
     if header is None:
         raise ProfileFormatError("empty profile", 1)
     n, m = header
-    if not orders:
+    if not rows:
         raise ProfileFormatError("header present but no ballots", 1)
+    orders = _check_ballots(rows, linenos, lines) - 1
     total = sum(weights)
     if total != n:
         raise ProfileFormatError(f"header says n={n} but ballots carry total weight {total}", 1)
-    return PreferenceProfile(m=m, orders=tuple(orders), weights=tuple(weights))
+    return PreferenceProfile(m=m, orders=tuple(map(tuple, orders.tolist())),
+                             weights=tuple(weights))
+
+
+def _split_ballot(line: str) -> tuple[Optional[str], str]:
+    """A stripped ballot line as (multiplicity text or None, ballot body)."""
+    if ":" not in line:
+        return None, line
+    head, body = line.split(":", 1)
+    return head.strip(), body
+
+
+def _check_ballots(rows: list[list[int]], linenos: list[int], lines: list[str]) -> np.ndarray:
+    """The parsed 1-based ballots (rows of one length m) as an array; raises
+    ProfileFormatError at the first line whose ballot is not a permutation."""
+    ballots = np.array(rows)  # int64, or float64/object when an entry is huge
+    bad = _ranks(ballots, 1)[1] if rows else None
+    if bad is None:
+        return ballots
+    m = ballots.shape[1]
+    out_of_range = [r for r in rows[bad] if not 1 <= r <= m]
+    if out_of_range:
+        raise ProfileFormatError(f"alternative {out_of_range[0]} out of range 1..{m}",
+                                 linenos[bad])
+    body = _split_ballot(lines[linenos[bad] - 1].strip())[1]
+    raise ProfileFormatError(f"ballot {body.strip()!r} is not a permutation", linenos[bad])
 
 
 def serialize_profile(profile: PreferenceProfile) -> str:

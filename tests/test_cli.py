@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairvote as fv
 from conftest import TRIAD_TEXT
@@ -335,6 +339,38 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith(f"error: bad {bad}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("payload", ['[0.5, 0.25, 0.25]', '{"probs": [null, 1, 0]}',
+                                         '{"probs": [true, false, false]}', '{"probs": 1}',
+                                         '{"probs": [[1], 0, 0]}', '"x"'],
+                             ids=["array", "null", "bool", "number", "nested", "string"])
+    def test_distribution_of_wrong_shape_exits_one(self, capsys, tmp_path, triad_file,
+                                                   payload):
+        xp = tmp_path / "x.json"
+        xp.write_text(payload, encoding="utf-8")
+        for mode in ("float", "rational"):
+            code, out, err = invoke(capsys, "--mode", mode, "eval", "distortion", triad_file,
+                                    str(xp), "--class", "approval")
+            assert code == 1 and out == ""
+            assert err.startswith("error: bad distribution") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("payload", [
+        '[[1, 0, 0], [0, 1, 0], [1, 0, 0]]',
+        '{"utils": 7}',
+        '{"utils": [[1, 0, 0], 5, [1, 0, 0]]}',
+        '{"utils": [[1, 0, 0], [0, 1, 0], [1, 0, 0]], "weights": 3}',
+        '{"utils": [[1, 0, 0], [0, 1, 0], [1, 0, 0]], "weights": [1, "a", 1]}',
+        '{"utils": [[true, 0, 0], [0, 1, 0], [1, 0, 0]]}',
+        '{"utils": [[1, 0, 0], [0, 1, null], [1, 0, 0]]}',
+    ], ids=["array", "number", "row-number", "weights-number", "weights-string", "bool",
+            "null"])
+    def test_utilities_of_wrong_shape_exit_one(self, capsys, tmp_path, triad_file, x_file,
+                                               payload):
+        up = tmp_path / "u.json"
+        up.write_text(payload, encoding="utf-8")
+        code, out, err = invoke(capsys, "eval", "sw", triad_file, x_file, "--utils", str(up))
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad utility profile") and err.count("\n") == 1
+
     def test_optimizer_bound_failure_exits_two(self, capsys, triad_file, monkeypatch):
         from fairvote import optimize
 
@@ -355,6 +391,60 @@ class TestExitCodes:
                             lambda u, **kwargs: original(u, max_iters=0))
         code, out, err = invoke(capsys, "eval", "nash-distortion", triad_file, x_file)
         assert code == 2 and out == "" and "nash_opt" in err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from([0.5, 0.25, 1e308])
+    | st.sampled_from(["1/2", "1/0", "x", "nan", "inf", "unit-sum", "approval"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["probs", "utils", "weights", "class", "m"]), inner,
+                      max_size=4),
+    max_leaves=16)
+
+
+@given(x=st.just({"m": 3, "probs": [0.5, 0.25, 0.25]}) | json_values,
+       u=st.builds(lambda rows, rest: {"utils": rows, **rest},
+                   st.lists(st.lists(json_values, min_size=3, max_size=3), min_size=3,
+                            max_size=3), json_values.filter(lambda v: isinstance(v, dict)))
+       | json_values,
+       mode=st.sampled_from(["float", "rational"]),
+       command=st.sampled_from(["sw", "distortion"]))
+@settings(max_examples=300, deadline=None)
+def test_json_inputs_of_any_shape_exit_cleanly(tmp_path_factory, x, u, mode, command):
+    """Any JSON in the distribution or utility file: exit 0, or exit 1 with
+    one error line."""
+    tmp = tmp_path_factory.mktemp("json")
+    paths = {name: tmp / name for name in ("triad.soc", "x.json", "u.json")}
+    paths["triad.soc"].write_text(TRIAD_TEXT, encoding="utf-8")
+    paths["x.json"].write_text(json.dumps(x), encoding="utf-8")
+    paths["u.json"].write_text(json.dumps(u), encoding="utf-8")
+    argv = ["--mode", mode, "eval", command, str(paths["triad.soc"]), str(paths["x.json"])]
+    argv += ["--utils", str(paths["u.json"])] if command == "sw" else ["--class", "approval"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1
+
+
+def test_parser_is_reused_across_calls(capsys, triad_file, x_file):
+    """One process: a usage error, --help and a refused --mode rational leave
+    the shared parser as a fresh process builds it."""
+    with pytest.raises(SystemExit) as exc:
+        run(["rule", "harmonic", "--bogus"])
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert invoke(capsys, "--mode", "rational", "rule", "slr", triad_file)[0] == 1
+    argv = ["eval", "distortion", triad_file, x_file, "--class", "unit-sum"]
+    code, out, _ = invoke(capsys, *argv)
+    src = str(Path(fv.__file__).resolve().parents[1])
+    fresh = subprocess.run([sys.executable, "-m", "fairvote.cli", *argv], capture_output=True,
+                           text=True, env={"PYTHONPATH": src}, check=True)
+    assert code == 0 and out == fresh.stdout
 
 
 def test_cli_import_leaves_scipy_unloaded():

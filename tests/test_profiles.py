@@ -1,7 +1,10 @@
+import re
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fairvote as fv
 from fairvote.profiles import ProfileFormatError
@@ -179,3 +182,148 @@ def test_utility_profile_rejects_non_finite_floats():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="non-finite"):
             fv.UtilityProfile(utils=((1.0, bad),), class_tag=fv.UtilityClass.ALL, weights=(1,))
+
+
+def reference_parse_profile(text: str) -> fv.PreferenceProfile:
+    """The line-by-line parser with per-token checks, kept verbatim as the oracle."""
+    header = None
+    orders = []
+    weights = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
+            parts = line.split()
+            if len(parts) != 2:
+                raise ProfileFormatError(f"expected header 'n m', got {line!r}", lineno)
+            try:
+                n, m = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ProfileFormatError(f"non-integer header {line!r}", lineno) from None
+            if n < 1 or m < 1:
+                raise ProfileFormatError(f"need n >= 1 and m >= 1, got n={n} m={m}", lineno)
+            header = (n, m)
+            continue
+        n, m = header
+        mult = 1
+        body = line
+        if ":" in line:
+            head, body = line.split(":", 1)
+            try:
+                mult = int(head.strip())
+            except ValueError:
+                raise ProfileFormatError(f"bad multiplicity {head.strip()!r}", lineno) from None
+            if mult < 1:
+                raise ProfileFormatError(f"multiplicity must be positive, got {mult}", lineno)
+        try:
+            ranks = [int(tok) for tok in body.split()]
+        except ValueError:
+            raise ProfileFormatError(f"non-integer ballot entry in {body.strip()!r}", lineno) from None
+        if len(ranks) != m:
+            raise ProfileFormatError(f"ballot has {len(ranks)} entries, expected {m}", lineno)
+        for r in ranks:
+            if not 1 <= r <= m:
+                raise ProfileFormatError(f"alternative {r} out of range 1..{m}", lineno)
+        if len(set(ranks)) != m:
+            raise ProfileFormatError(f"ballot {body.strip()!r} is not a permutation", lineno)
+        orders.append(tuple(r - 1 for r in ranks))
+        weights.append(mult)
+    if header is None:
+        raise ProfileFormatError("empty profile", 1)
+    n, m = header
+    if not orders:
+        raise ProfileFormatError("header present but no ballots", 1)
+    total = sum(weights)
+    if total != n:
+        raise ProfileFormatError(f"header says n={n} but ballots carry total weight {total}", 1)
+    return fv.PreferenceProfile(m=m, orders=tuple(orders), weights=tuple(weights))
+
+
+BAD_TOKENS = ("0", "-1", "x", "1.5", "+2", "1_0", "99999999999999999999999", str(2 ** 63), "")
+
+
+@st.composite
+def profile_texts(draw):
+    """Profile texts, valid or not: a header, then ballot lines that may
+    repeat or drop an alternative, carry a bad token or a bad multiplicity,
+    or have the wrong length; comments and blank lines anywhere."""
+    m = draw(st.integers(1, 5))
+    lines = []
+    total = 0
+    for _ in range(draw(st.integers(0, 7))):
+        ballot = [str(a + 1) for a in draw(st.permutations(range(m)))]
+        edit = draw(st.sampled_from(["none"] * 4 + ["dup", "token", "drop", "extra"]))
+        if edit == "dup" and m > 1:
+            ballot[draw(st.integers(0, m - 1))] = ballot[draw(st.integers(0, m - 1))]
+        elif edit == "token":
+            ballot[draw(st.integers(0, m - 1))] = draw(st.sampled_from(BAD_TOKENS + (str(m + 1),)))
+        elif edit == "drop":
+            ballot.pop()
+        elif edit == "extra":
+            ballot.append(str(draw(st.integers(1, m + 1))))
+        body = " ".join(ballot)
+        mult = draw(st.sampled_from([None] * 8 + ["1", "2", "3", " 2 ", "0", "-2", "y"]))
+        lines.append(body if mult is None else f"{mult}: {body}")
+        total += 1 if mult is None or not mult.strip().lstrip("-").isdigit() else int(mult)
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# comment", "   ", "#1 1 1"])))
+    n = draw(st.sampled_from([max(total, 1)] * 6 + [total + 1, 0]))
+    header = draw(st.sampled_from([f"{n} {m}"] * 16 + [f"{n}", f"{n} {m} 1", f"{n} x",
+                                                       f"{n} 0"]))
+    head = [header] if draw(st.integers(0, 19)) else []
+    return "\n".join(head + lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def parse_outcome(parse, text):
+    try:
+        p = parse(text)
+    except ProfileFormatError as exc:
+        return ("error", exc.line, str(exc))
+    return ("profile", p.m, p.orders, p.weights)
+
+
+@given(profile_texts())
+@settings(max_examples=600, deadline=None)
+@example("3 3\n1 2 2\n1 4 2\n1 2 3\n")           # two bad ballots: line 2 is reported
+@example("3 3\n1 2 4\n1 x 2\n1 2 3\n")           # out of range before a non-integer
+@example("3 3\n2 2 1\n0: 1 2 3\n1 2 3\n")        # duplicate before a bad multiplicity
+@example("3 3\n1 2 3\n1 2 99999999999999999999999 \n1 2 3")
+@example("2 2\n1 2\n2 1 2\n")                    # wrong length
+@example("2 2\n1 2\n9223372036854775808 1\n")
+@example("# only a comment\n")
+@example("4 2\n2: 1 2\n1 2\n")                   # weight total mismatch
+def test_parse_matches_reference(text):
+    assert parse_outcome(fv.parse_profile, text) == parse_outcome(reference_parse_profile, text)
+
+
+def test_first_of_two_bad_lines_is_reported():
+    text = "3 3\n1 2 3\n3 3 1\n1 2 4\n"
+    with pytest.raises(ProfileFormatError) as err:
+        fv.parse_profile(text)
+    assert err.value.line == 3 and str(err.value) == "line 3: ballot '3 3 1' is not a permutation"
+    with pytest.raises(ProfileFormatError) as err:
+        fv.parse_profile(text.replace("3 3 1", "3 0 1"))
+    assert err.value.line == 3 and str(err.value) == "line 3: alternative 0 out of range 1..3"
+
+
+@given(st.integers(1, 5).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.lists(st.integers(-1, m), min_size=m, max_size=m),
+                         min_size=1, max_size=6))))
+@settings(max_examples=300, deadline=None)
+def test_constructor_accepts_exactly_the_permutations(case):
+    m, ballots = case
+    orders = tuple(tuple(b) for b in ballots)
+    first_bad = next((o for o in orders if tuple(sorted(o)) != tuple(range(m))), None)
+    if first_bad is None:
+        assert fv.PreferenceProfile(m=m, orders=orders, weights=(1,) * len(orders)).m == m
+    else:
+        with pytest.raises(ValueError, match=f"ballot {re.escape(str(first_bad))} is not a"):
+            fv.PreferenceProfile(m=m, orders=orders, weights=(1,) * len(orders))
+
+
+@pytest.mark.parametrize("orders", [((0, 1), (1,)), ((0, 1, 2),), ((0.0, 1.0),),
+                                    ((0, "1"),), ((0, None),), ((0, 2 ** 70),)])
+def test_constructor_rejects_ballots_that_are_not_m_integers(orders):
+    with pytest.raises(ValueError):
+        fv.PreferenceProfile(m=2, orders=orders, weights=(1,) * len(orders))
