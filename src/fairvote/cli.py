@@ -19,6 +19,7 @@ from .profiles import (
     ProfileFormatError,
     UtilityClass,
     UtilityProfile,
+    check_consistency,
     parse_profile,
     serialize_profile,
 )
@@ -103,6 +104,23 @@ def _load_utilities(path: str, exact: bool, weights) -> UtilityProfile:
         return UtilityProfile(utils=utils, class_tag=tag, weights=tuple(w))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"bad utility profile in {path!r}: {exc}") from None
+
+
+def _check_utilities(u: UtilityProfile, profile, path: str) -> None:
+    """Refuse utilities that do not fit the profile: their shape, their
+    order along each ballot, or their class."""
+    try:
+        ok, violation = check_consistency(u, profile)
+    except ValueError as exc:
+        raise InputError(f"utilities in {path!r}: {exc}") from None
+    if not ok:
+        b = violation.ballot + 1
+        if violation.kind == "order":
+            detail = (f"ballot {b} ranks alternative {violation.better + 1} above "
+                      f"{violation.worse + 1}, but its utility row values it less")
+        else:
+            detail = f"row {b}: {violation.detail}"
+        raise InputError(f"utilities in {path!r} contradict the profile: {detail}")
 
 
 def _dist_json(x: Distribution) -> dict:
@@ -274,6 +292,7 @@ def _run_eval(args, exact: bool) -> int:
     name = args.eval_name
     if name in ("sw", "nw", "pf-value", "core"):
         u = _load_utilities(args.utils, exact, profile.weights)
+        _check_utilities(u, profile, args.utils)
         if name == "sw":
             _emit({"value": metrics.social_welfare(x, u)})
         elif name == "nw":

@@ -10,11 +10,12 @@ vertices u, which is the root of
 where the per-agent vertex sets are the extreme points of the consistent
 class polytope: prefix indicators (1 on the agent's top j) for approval and
 unit-range, uniform prefixes (1/j on the top j) for unit-sum, and the union
-of both for balanced. Both modes find the root by Dinkelbach's ratio
-iteration (t <- the ratio of the vertex profile attaining g(t)), which ends
-after finitely many linear pieces. Float mode runs one iteration for all a*
-at once on (ballot, alternative) arrays, with a shared t; rational mode runs
-it per a* in exact arithmetic.
+of both for balanced. One kernel, `_dinkelbach`, finds the root by
+Dinkelbach's ratio iteration (t <- the ratio of the vertex profile attaining
+g(t)), which ends after finitely many linear pieces. It runs one iteration
+for all a* at once on (ballot, alternative) arrays, with a shared t, in both
+modes: on float64 arrays in float mode and on object arrays of Fraction in
+rational mode, where the value is then recomputed from the witness alone.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -113,70 +114,6 @@ def _vertex_depth_values(cls: UtilityClass) -> tuple[bool, bool]:
     raise ValueError(f"utilitarian distortion is degenerate or unsupported for {cls}")
 
 
-def _ballot_vertices_exact(order: Sequence[int], x_probs: Sequence[Number],
-                           a_star: int, cls: UtilityClass) -> list[tuple[Fraction, Fraction, int, bool]]:
-    """Per-ballot vertex list [(A, B, depth, uniform)] with exact arithmetic."""
-    use_ind, use_uni = _vertex_depth_values(cls)
-    r_star = order.index(a_star) + 1
-    out = []
-    mass = Fraction(0)
-    for j, a in enumerate(order, start=1):
-        mass += Fraction(x_probs[a])
-        hit = 1 if j >= r_star else 0
-        if use_ind:
-            out.append((Fraction(hit), mass, j, False))
-        if use_uni:
-            out.append((Fraction(hit, j), mass / j, j, True))
-    return out
-
-
-def _max_term_exact(vertices, t: Fraction) -> tuple[Fraction, tuple]:
-    """max (A - t B) over a ballot's vertices; ties prefer larger A so the
-    ratio iteration lands on the value-attaining witness."""
-    best = None
-    best_vertex = None
-    for A, B, depth, uniform in vertices:
-        val = A - t * B
-        if best is None or val > best or (val == best and A > best_vertex[0]):
-            best = val
-            best_vertex = (A, B, depth, uniform)
-    return best, best_vertex
-
-
-def _distortion_at_exact(x: Distribution, profile: PreferenceProfile, cls: UtilityClass,
-                         a_star: int) -> tuple[Number, Optional[list[tuple[int, bool]]]]:
-    """Exact sup_u SW(a*, u)/SW(x, u); returns (value, per-ballot (depth, uniform))."""
-    tables = [_ballot_vertices_exact(order, x.probs, a_star, cls) for order in profile.orders]
-    weights = profile.weights
-
-    def aggregate(t: Fraction):
-        total = Fraction(0)
-        combo = []
-        sum_a = Fraction(0)
-        sum_b = Fraction(0)
-        for w, verts in zip(weights, tables):
-            val, (A, B, depth, uniform) = _max_term_exact(verts, t)
-            total += w * val
-            sum_a += w * A
-            sum_b += w * B
-            combo.append((depth, uniform))
-        return total, sum_a, sum_b, combo
-
-    t = Fraction(0)
-    prev_combo = None
-    for _ in range(10_000):  # combinatorial bound; iterations cross distinct pieces
-        g, sum_a, sum_b, combo = aggregate(t)
-        if g <= 0:
-            return t, (prev_combo if prev_combo is not None else combo)
-        if sum_b == 0:
-            return math.inf, combo
-        ratio = sum_a / sum_b
-        if ratio == t:
-            return t, combo
-        t, prev_combo = ratio, combo
-    raise RuntimeError("ratio iteration failed to terminate")  # pragma: no cover
-
-
 def _witness_from_combo(profile: PreferenceProfile, combo, cls: UtilityClass,
                         exact: bool) -> UtilityProfile:
     rows = []
@@ -185,10 +122,14 @@ def _witness_from_combo(profile: PreferenceProfile, combo, cls: UtilityClass,
     return UtilityProfile(utils=tuple(rows), class_tag=cls, weights=profile.weights)
 
 
-def _distortion_float(x: Distribution, profile: PreferenceProfile, cls: UtilityClass
-                      ) -> tuple[float, int, list[tuple[int, bool]]]:
-    """Float sup over a* and vertex profiles u of SW(a*, u)/SW(x, u); returns
+def _dinkelbach(probs: np.ndarray, weights: np.ndarray, profile: PreferenceProfile,
+                cls: UtilityClass, one: Number) -> tuple[Number, int, list[tuple[int, bool]]]:
+    """sup over a* and vertex profiles u of SW(a*, u)/SW(x, u); returns
     (value, a*, per-ballot (depth, uniform)).
+
+    The one kernel of both modes: `probs` and `weights` are float64 arrays
+    with `one` = 1.0, or object arrays of Fraction and int with `one` =
+    Fraction(1), and every operation below keeps that type.
 
     One Dinkelbach ratio iteration shared by every a*: at t, for all a at
     once, g_a(t) = sum_b w_b max_v [A_v(a) - t B_v]; the argmax a* (lowest
@@ -199,14 +140,13 @@ def _distortion_float(x: Distribution, profile: PreferenceProfile, cls: UtilityC
     """
     use_ind, use_uni = _vertex_depth_values(cls)
     col = profile.rank_matrix() - 1                    # (B, m): 0-based rank of a on b
-    prefix = np.cumsum(x.as_array()[profile.order_matrix()], axis=1)  # mass of b's top j+1
-    weights = profile.weight_array()
+    prefix = np.cumsum(probs[profile.order_matrix()], axis=1)  # mass of b's top j+1
     rows = np.arange(col.shape[0])
     depths = np.arange(1, profile.m + 1)
 
     if not prefix[:, 0].any():
         # every top has zero mass: a zero-mass prefix reaching a* has SW(x) = 0
-        reach = col < (prefix == 0.0).sum(axis=1)[:, None]
+        reach = col < (prefix == 0).sum(axis=1)[:, None]
         a_star = int(np.argmax(reach.any(axis=0)))
         depth = np.where(reach[:, a_star], col[:, a_star] + 1, 1)
         return math.inf, a_star, [(int(d), not use_ind) for d in depth]
@@ -221,14 +161,14 @@ def _distortion_float(x: Distribution, profile: PreferenceProfile, cls: UtilityC
         low_uni = np.take_along_axis(np.minimum.accumulate(per_depth, axis=1),
                                      np.maximum(col - 1, 0), axis=1)
 
-    t = 0.0
+    t = 0 * one
     best = None
     while True:
         terms = []
         if use_ind:
-            terms.append(np.maximum(1.0 - t * at_rank, -t * prefix[:, :1]))
+            terms.append(np.maximum(one - t * at_rank, -t * prefix[:, :1]))
         if use_uni:
-            scaled = (1.0 - t * prefix) / depths
+            scaled = (one - t * prefix) / depths
             suffix = np.maximum.accumulate(scaled[:, ::-1], axis=1)[:, ::-1]
             terms.append(np.maximum(np.take_along_axis(suffix, col, axis=1), -t * low_uni))
         a_star = int(np.argmax(weights @ np.maximum.reduce(terms)))
@@ -238,7 +178,7 @@ def _distortion_float(x: Distribution, profile: PreferenceProfile, cls: UtilityC
         c = col[:, a_star]
         cands = []
         if use_ind:
-            cands.append((1.0 - t * at_rank[:, a_star], c + 1, False))
+            cands.append((one - t * at_rank[:, a_star], c + 1, False))
         if use_uni:
             top = suffix[rows, c]
             first = np.argmax((scaled >= top[:, None]) & (depths > c[:, None]), axis=1)
@@ -255,7 +195,7 @@ def _distortion_float(x: Distribution, profile: PreferenceProfile, cls: UtilityC
         uniform = np.array(uniform_opts)[pick]
 
         scale = np.where(uniform, depth, 1)
-        ratio = float(weights @ ((depth > c) / scale)) / float(
+        ratio = (weights @ (np.where(depth > c, one, 0 * one) / scale)) / (
             weights @ (prefix[rows, depth - 1] / scale))
         if ratio <= t:
             return best
@@ -263,37 +203,41 @@ def _distortion_float(x: Distribution, profile: PreferenceProfile, cls: UtilityC
         best = (ratio, a_star, list(zip(depth.tolist(), uniform.tolist())))
 
 
+def _distortion_float(x: Distribution, profile: PreferenceProfile, cls: UtilityClass
+                      ) -> tuple[float, int, list[tuple[int, bool]]]:
+    """The kernel on float64 arrays."""
+    value, a_star, combo = _dinkelbach(x.as_array(), profile.weight_array(), profile, cls, 1.0)
+    return float(value), a_star, combo
+
+
+def _distortion_at_exact(x: Distribution, profile: PreferenceProfile, cls: UtilityClass
+                         ) -> tuple[Number, int, list[tuple[int, bool]]]:
+    """The kernel on object arrays of Fraction, in exact arithmetic."""
+    probs = np.array([Fraction(p) for p in x.probs], dtype=object)
+    return _dinkelbach(probs, np.array(profile.weights, dtype=object), profile, cls,
+                       Fraction(1))
+
+
 def distortion(x: Distribution, profile: PreferenceProfile, cls: UtilityClass) -> DistortionReport:
     """Worst-case utilitarian distortion of x over consistent class utilities.
 
     Rejects UtilityClass.ALL (degenerate for utilitarian welfare). The report
     carries the maximizing alternative and an attaining vertex utility
-    profile; recomputing the witness ratio reproduces the value.
+    profile; recomputing the witness ratio reproduces the value. In exact
+    mode the reported value is that recomputation.
     """
     if cls is UtilityClass.ALL:
         raise ValueError("utilitarian distortion over the unrestricted class is degenerate")
     if x.m != profile.m:
         raise ValueError("distribution/profile dimension mismatch")
 
-    if x.exact:
-        best_val: Number = -1
-        best: Optional[tuple[int, list]] = None
-        for a_star in range(profile.m):
-            val, combo = _distortion_at_exact(x, profile, cls, a_star)
-            if val == math.inf:
-                best_val, best = math.inf, (a_star, combo)
-                break
-            if val > best_val:
-                best_val, best = val, (a_star, combo)
-        a_star, combo = best
-        witness = _witness_from_combo(profile, combo, cls, exact=True)
-        if best_val != math.inf:
-            s = social_welfare(x, witness)
-            best_val = math.inf if s == 0 else _witness_ratio(witness, a_star, s)
-        return DistortionReport(best_val, cls, a_star, witness)
-
-    value, a_star, combo = _distortion_float(x, profile, cls)
-    witness = _witness_from_combo(profile, combo, cls, exact=False)
+    exact = x.exact
+    entry = _distortion_at_exact if exact else _distortion_float
+    value, a_star, combo = entry(x, profile, cls)
+    witness = _witness_from_combo(profile, combo, cls, exact=exact)
+    if exact and value != math.inf:
+        s = social_welfare(x, witness)
+        value = math.inf if s == 0 else _witness_ratio(witness, a_star, s)
     return DistortionReport(value, cls, a_star, witness)
 
 
@@ -554,6 +498,8 @@ def core_check(x: Distribution, u: UtilityProfile, alpha: float,
     then resolved by maximizing total slack (exact LP), and any returned
     witness is re-verified against the definition.
     """
+    if x.m != u.m:
+        raise ValueError("distribution/utility dimension mismatch")
     if u.n > 20:
         raise ValueError("core_check enumerates coalitions; capped at n <= 20")
     U = u.as_array()

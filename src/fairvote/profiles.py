@@ -427,10 +427,10 @@ def _class_violation(row: Sequence[Number], tag: UtilityClass, ballot: int) -> O
     total = sum(row)
     top = max(row)
     if tag is UtilityClass.UNIT_SUM:
-        if not _sums_to_one(total, row):
+        if not _is_one(total, row):
             return ConsistencyViolation("class", ballot, f"unit-sum row sums to {total}")
     elif tag is UtilityClass.UNIT_RANGE:
-        if not _equals_one(top, row):
+        if not _is_one(top, row):
             return ConsistencyViolation("class", ballot, f"unit-range row has max {top}")
     elif tag is UtilityClass.APPROVAL:
         if any(v not in (0, 1) for v in row):
@@ -445,13 +445,8 @@ def _class_violation(row: Sequence[Number], tag: UtilityClass, ballot: int) -> O
     return None
 
 
-def _sums_to_one(total: Number, row: Sequence[Number]) -> bool:
-    if all(_is_exact(v) for v in row):
-        return total == 1
-    return abs(float(total) - 1.0) <= SUM_TOLERANCE
-
-
-def _equals_one(value: Number, row: Sequence[Number]) -> bool:
+def _is_one(value: Number, row: Sequence[Number]) -> bool:
+    """value == 1, exactly for an exact row and within SUM_TOLERANCE otherwise."""
     if all(_is_exact(v) for v in row):
         return value == 1
     return abs(float(value) - 1.0) <= SUM_TOLERANCE

@@ -371,6 +371,38 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error: bad utility profile") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["sw", "nw", "pf-value", "core"])
+    @pytest.mark.parametrize("payload,reason", [
+        ('{"class": "approval", "utils": [[1, 0, 0], [0, 1, 0]], "weights": [2, 1]}',
+         "dimensions"),
+        ('{"class": "approval", "utils": [[1, 0], [0, 1], [1, 0]]}', "dimensions"),
+        ('{"class": "approval", "utils": [[0, 1, 0], [0, 1, 0], [1, 0, 0]]}',
+         "ballot 1 ranks alternative 1 above 2"),
+        ('{"class": "unit-sum", "utils": [[0.5, 0.25, 0], [0, 1, 0], [1, 0, 0]]}',
+         "row 1: unit-sum row sums to 0.75"),
+    ], ids=["row-count", "alternatives", "order", "class"])
+    def test_utilities_that_do_not_fit_the_profile_exit_one(self, capsys, tmp_path,
+                                                            triad_file, x_file, command,
+                                                            payload, reason):
+        up = tmp_path / "u.json"
+        up.write_text(payload, encoding="utf-8")
+        argv = ["eval", command, triad_file, x_file, "--utils", str(up)]
+        if command == "core":
+            argv += ["--alpha", "1"]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: utilities in") and reason in err
+        assert err.count("\n") == 1
+
+    def test_consistent_exact_utilities_are_accepted(self, capsys, tmp_path, triad_file):
+        xp, up = tmp_path / "x.json", tmp_path / "u.json"
+        xp.write_text('{"m": 3, "probs": ["1/2", "1/4", "1/4"]}', encoding="utf-8")
+        up.write_text('{"class": "unit-sum", "utils": [["1/2", "1/2", 0], [0, 1, 0], '
+                      '["1/3", "1/3", "1/3"]]}', encoding="utf-8")
+        code, out, _ = invoke(capsys, "--mode", "rational", "eval", "sw", triad_file,
+                              str(xp), "--utils", str(up))
+        assert code == 0 and json.loads(out)["value"] == "23/24"
+
     def test_optimizer_bound_failure_exits_two(self, capsys, triad_file, monkeypatch):
         from fairvote import optimize
 

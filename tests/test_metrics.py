@@ -1,13 +1,17 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 from fractions import Fraction as F
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
 
 import fairvote as fv
-from fairvote.metrics import OracleScaleError
+from fairvote.metrics import (DistortionReport, OracleScaleError, _vertex_depth_values,
+                              _witness_from_combo, _witness_ratio, social_welfare)
+from fairvote.profiles import Distribution, Number, PreferenceProfile, UtilityClass
 
 DISTORTION_CLASSES = (fv.UtilityClass.UNIT_SUM, fv.UtilityClass.APPROVAL,
                       fv.UtilityClass.UNIT_RANGE, fv.UtilityClass.BALANCED)
@@ -29,6 +33,96 @@ def witness_ratio(x, report):
     u = report.witness_utilities
     sw_star = sum(w * row[report.witness_alternative] for w, row in zip(u.weights, u.utils))
     return sw_star / float(fv.social_welfare(x, u))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the earlier rational path of `distortion`, kept verbatim. It ran the
+# ratio iteration once per candidate a*, in Python loops over each ballot's
+# vertex list; `distortion` now runs the shared-t kernel on Fraction arrays.
+# ---------------------------------------------------------------------------
+
+def _ballot_vertices_exact(order: Sequence[int], x_probs: Sequence[Number],
+                           a_star: int, cls: UtilityClass) -> list[tuple[Fraction, Fraction, int, bool]]:
+    """Per-ballot vertex list [(A, B, depth, uniform)] with exact arithmetic."""
+    use_ind, use_uni = _vertex_depth_values(cls)
+    r_star = order.index(a_star) + 1
+    out = []
+    mass = Fraction(0)
+    for j, a in enumerate(order, start=1):
+        mass += Fraction(x_probs[a])
+        hit = 1 if j >= r_star else 0
+        if use_ind:
+            out.append((Fraction(hit), mass, j, False))
+        if use_uni:
+            out.append((Fraction(hit, j), mass / j, j, True))
+    return out
+
+
+def _max_term_exact(vertices, t: Fraction) -> tuple[Fraction, tuple]:
+    """max (A - t B) over a ballot's vertices; ties prefer larger A so the
+    ratio iteration lands on the value-attaining witness."""
+    best = None
+    best_vertex = None
+    for A, B, depth, uniform in vertices:
+        val = A - t * B
+        if best is None or val > best or (val == best and A > best_vertex[0]):
+            best = val
+            best_vertex = (A, B, depth, uniform)
+    return best, best_vertex
+
+
+def _distortion_at_exact(x: Distribution, profile: PreferenceProfile, cls: UtilityClass,
+                         a_star: int) -> tuple[Number, Optional[list[tuple[int, bool]]]]:
+    """Exact sup_u SW(a*, u)/SW(x, u); returns (value, per-ballot (depth, uniform))."""
+    tables = [_ballot_vertices_exact(order, x.probs, a_star, cls) for order in profile.orders]
+    weights = profile.weights
+
+    def aggregate(t: Fraction):
+        total = Fraction(0)
+        combo = []
+        sum_a = Fraction(0)
+        sum_b = Fraction(0)
+        for w, verts in zip(weights, tables):
+            val, (A, B, depth, uniform) = _max_term_exact(verts, t)
+            total += w * val
+            sum_a += w * A
+            sum_b += w * B
+            combo.append((depth, uniform))
+        return total, sum_a, sum_b, combo
+
+    t = Fraction(0)
+    prev_combo = None
+    for _ in range(10_000):  # combinatorial bound; iterations cross distinct pieces
+        g, sum_a, sum_b, combo = aggregate(t)
+        if g <= 0:
+            return t, (prev_combo if prev_combo is not None else combo)
+        if sum_b == 0:
+            return math.inf, combo
+        ratio = sum_a / sum_b
+        if ratio == t:
+            return t, combo
+        t, prev_combo = ratio, combo
+    raise RuntimeError("ratio iteration failed to terminate")  # pragma: no cover
+
+
+def per_a_star_distortion(x: Distribution, profile: PreferenceProfile,
+                          cls: UtilityClass) -> DistortionReport:
+    """The rational branch of the earlier `distortion`, verbatim."""
+    best_val: Number = -1
+    best: Optional[tuple[int, list]] = None
+    for a_star in range(profile.m):
+        val, combo = _distortion_at_exact(x, profile, cls, a_star)
+        if val == math.inf:
+            best_val, best = math.inf, (a_star, combo)
+            break
+        if val > best_val:
+            best_val, best = val, (a_star, combo)
+    a_star, combo = best
+    witness = _witness_from_combo(profile, combo, cls, exact=True)
+    if best_val != math.inf:
+        s = social_welfare(x, witness)
+        best_val = math.inf if s == 0 else _witness_ratio(witness, a_star, s)
+    return DistortionReport(best_val, cls, a_star, witness)
 
 
 class TestSocialWelfare:
@@ -169,6 +263,39 @@ class TestDistortion:
             for cls in DISTORTION_CLASSES:
                 value = fv.distortion(x, p, cls).value
                 assert value == pytest.approx(fv.distortion_bruteforce(x, p, cls), rel=1e-12)
+
+    def test_exact_matches_per_a_star_oracle(self):
+        """The shared-t kernel on Fraction arrays against the earlier per-a*
+        path, past criterion 10's sizes (m up to 10, up to 15 weighted
+        ballots): equal values, witnesses that reproduce them exactly, and a
+        witness a* that differs only where the per-a* path attains the value
+        at it too."""
+        rng = np.random.default_rng(29)
+        sizes = [(10, 15), (10, 1), (1, 15)] + [
+            (int(rng.integers(1, 11)), int(rng.integers(1, 16))) for _ in range(37)]
+        for m, ballots in sizes:
+            orders = [tuple(int(a) for a in rng.permutation(m)) for _ in range(ballots)]
+            p = fv.from_rankings(orders, m=m,
+                                 weights=[int(w) for w in rng.integers(1, 4, size=ballots)])
+            kind = int(rng.integers(0, 3))
+            if kind == 0:
+                x = fv.Distribution.point_mass(m, int(rng.integers(0, m)), exact=True)
+            else:
+                x = random_exact_distribution(m, rng, digits=2 if kind == 1 else 9)
+            for cls in DISTORTION_CLASSES:
+                report = fv.distortion(x, p, cls)
+                oracle = per_a_star_distortion(x, p, cls)
+                assert report.value == oracle.value
+                u, a_star = report.witness_utilities, report.witness_alternative
+                sw_x = fv.social_welfare(x, u)
+                sw_star = sum(w * row[a_star] for w, row in zip(u.weights, u.utils))
+                if report.value == math.inf:
+                    assert sw_x == 0 and sw_star > 0
+                else:
+                    assert isinstance(report.value, (int, F))
+                    assert sw_star / sw_x == report.value
+                if a_star != oracle.witness_alternative:
+                    assert _distortion_at_exact(x, p, cls, a_star)[0] == report.value
 
     @pytest.mark.parametrize("text, probs", [
         ("3 3\n1 2 3\n2 1 3\n1 3 2\n", (0.0, 0.5, 0.5)),
@@ -349,6 +476,11 @@ class TestCoreCheck:
             assert lhs >= rhs - 1e-9
             strict += lhs > rhs + 1e-9
         assert strict >= 1
+
+    def test_dimension_mismatch_raises(self, top_approvals):
+        # utilities over 3 alternatives against a 2-alternative distribution
+        with pytest.raises(ValueError, match="dimension"):
+            fv.core_check(fv.Distribution((F(1, 2), F(1, 2))), top_approvals, 1.0)
 
     def test_scale_guard(self):
         p = fv.random_profile(21, 3, np.random.default_rng(2))
