@@ -27,7 +27,7 @@ from .metrics import (
     pf_value,
     social_welfare,
 )
-from .mwu import CertificationError, MatrixGame, MwuResult, mwu_solve, solve_matrix_game
+from .mwu import CertificationError, mwu_solve
 from .optimize import (
     FeasibleRegion,
     OptimizationResult,

@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "lower-bound instance generators.")
     parser.add_argument("--mode", choices=("float", "rational"), default="float",
                         help="numeric mode for rules/evaluators that support exact output")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized paths")
+    parser.add_argument("--seed", type=int, default=0, help="seed for `rule scr` and `stress`")
     sub = parser.add_subparsers(dest="command", required=True)
 
     rule = sub.add_parser("rule", help="run a voting rule").add_subparsers(
@@ -269,11 +269,11 @@ def _run_rule(args, exact: bool) -> int:
             # the same lottery gives x and the dump; stable_lottery_rule would
             # compute it a second time
             k = stable.committee_size(profile.m)
-            lottery = stable.compute_stable_lottery(profile, k, seed=args.seed)
+            lottery = stable.compute_stable_lottery(profile, k)
             x = stable.distribution_from_lottery(lottery, profile.m)
             _dump_lottery(args.dump_lottery, lottery, profile)
         else:
-            x = stable.stable_lottery_rule(profile, seed=args.seed)
+            x = stable.stable_lottery_rule(profile)
     elif name == "scr":
         mode = {"exhaustive": "exhaustive", "local": "local_search",
                 "auto": "auto"}[args.search_mode]

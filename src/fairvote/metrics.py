@@ -471,20 +471,14 @@ def _coalition_game_value(M: np.ndarray, epsilon: float) -> float:
     if shift == 0.0:
         return 0.0
     P = shift - M  # in [0, 2*shift]; adversary maximizes P <=> minimizes M
-    game = mwu_mod.MatrixGame(num_rows=rows, payoff_bound=2.0 * shift)
-
     y_sum = np.zeros(m)
-    rounds = 0
 
-    def best_response(mix: np.ndarray):
-        nonlocal rounds, y_sum
+    def best_response(mix: np.ndarray) -> np.ndarray:
         col = int(np.argmin(mix @ P))
         y_sum[col] += 1.0
-        rounds += 1
-        return col, P[:, col]
+        return P[:, col]
 
-    mwu_mod.mwu_solve(game, best_response, epsilon)
-    y_avg = y_sum / rounds
+    y_avg = y_sum / mwu_mod.mwu_solve(rows, 2.0 * shift, best_response, epsilon).rounds
     return float((M @ y_avg).min())
 
 

@@ -1,138 +1,64 @@
-"""Two-player zero-sum solving via multiplicative weights with a best-response oracle.
+"""Multiplicative weights (Freund & Schapire 1999) for the maximizing side of a
+two-player zero-sum game, against a caller-supplied best-response oracle.
 
-The maximizing (adversary) side runs MWU over its finite pure-strategy set;
-the minimizing player answers each adversary mix through a caller-supplied
-best-response oracle. The deliverable is the *average of the minimizer's
-responses*: by the standard regret bound it guarantees value at most
-(game value) + epsilon against every adversary row once T >= 4 ln R / eps^2
-rounds (payoffs normalized to [0,1]).
+The adversary runs MWU over its `num_rows` pure strategies, with payoffs in
+[0, payoff_bound]. After T = ceil(4 ln R / eps'^2) rounds, eps' = epsilon /
+payoff_bound, the regret bound guarantees that the average of the
+minimizer's responses concedes at most (game value) + epsilon against every
+row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+
+CHECK_EVERY = 1000  # rounds between calls of the caller's stop_check
 
 
 class CertificationError(RuntimeError):
     """A solve hit its round cap without reaching the requested guarantee."""
 
 
-@dataclass(frozen=True)
-class MatrixGame:
-    """Payoff oracle description: `num_rows` adversary pure strategies, payoffs
-    within [0, payoff_bound]."""
-
-    num_rows: int
-    payoff_bound: float
-
-    def __post_init__(self):
-        if self.num_rows < 1:
-            raise ValueError("need at least one row")
-        if not (self.payoff_bound > 0 and math.isfinite(self.payoff_bound)):
-            raise ValueError("payoff bound must be positive and finite")
-
-
-@dataclass
-class MwuResult:
-    row_mix: np.ndarray              # averaged adversary mix
-    responses: list                  # minimizer responses, one per round
-    avg_payoffs: np.ndarray          # per-row average payoff of the responses
-    value: float                     # max over rows; certified payoff of the averaged response
+class MwuResult(NamedTuple):
+    row_mix: np.ndarray  # the adversary's mix, averaged over the rounds
     rounds: int
-    theory_rounds: int
-    epsilon: float
-    epsilon_certified: bool          # ran the full theoretical round count
-    stopped_by_check: bool           # caller's certificate predicate fired early
 
 
-BestResponse = Callable[[np.ndarray], tuple[Any, Sequence[float]]]
-StopCheck = Callable[[int, np.ndarray], bool]
-
-
-def theory_round_count(num_rows: int, epsilon_normalized: float) -> int:
-    if num_rows == 1:
-        return 1
-    return math.ceil(4.0 * math.log(num_rows) / epsilon_normalized**2)
-
-
-def mwu_solve(game: MatrixGame, best_response: BestResponse, epsilon: float,
-              max_rounds: Optional[int] = None, seed: int = 0,
-              stop_check: Optional[StopCheck] = None, check_every: int = 1000) -> MwuResult:
-    """Run MWU on the adversary side; `best_response(mix)` returns an opaque
-    response object plus its payoff vector over the adversary's rows.
-
-    Deterministic given the inputs (there are no random draws; `seed` is kept
-    so every randomized caller path consumes exactly one seed).
+def mwu_solve(num_rows: int, payoff_bound: float,
+              best_response: Callable[[np.ndarray], np.ndarray], epsilon: float,
+              stop_check: Optional[Callable[[np.ndarray], bool]] = None) -> MwuResult:
+    """Run MWU for T rounds; `best_response(mix)` returns the payoff vector,
+    over the adversary's rows, of the minimizer's answer to `mix`.
+    `stop_check(avg_payoffs)` is asked every CHECK_EVERY rounds and after
+    round T; a true answer ends the run. Deterministic given the inputs.
     """
-    del seed  # interface uniformity; the update is deterministic
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    R = game.num_rows
-    eps_norm = epsilon / game.payoff_bound
-    theory_T = theory_round_count(R, eps_norm)
-    T = theory_T if max_rounds is None else min(theory_T, max_rounds)
-    eta = math.sqrt(math.log(R) / T) if R > 1 and T > 0 else 0.0
+    if not (num_rows >= 1 and 0 < payoff_bound < math.inf and epsilon > 0):
+        raise ValueError("need num_rows >= 1, a positive finite payoff bound "
+                         "and a positive epsilon")
+    R = num_rows
+    eps_norm = epsilon / payoff_bound
+    T = 1 if R == 1 else math.ceil(4.0 * math.log(R) / eps_norm**2)
+    eta = math.sqrt(math.log(R) / T)
+    high = payoff_bound * (1 + 1e-9)
 
     log_weights = np.zeros(R)
     payoff_sum = np.zeros(R)
     mix_sum = np.zeros(R)
-    responses: list = []
-    stopped = False
-
-    t = 0
-    while t < T:
+    for t in range(1, T + 1):
         mix = np.exp(log_weights - log_weights.max())
         mix /= mix.sum()
-        response, payoffs = best_response(mix)
-        payoffs = np.asarray(payoffs, dtype=np.float64)
-        if payoffs.shape != (R,):
-            raise ValueError(f"payoff vector has shape {payoffs.shape}, expected ({R},)")
-        if not np.all(np.isfinite(payoffs)):
-            raise ValueError("payoff oracle produced non-finite values")
-        if payoffs.min() < -1e-9 or payoffs.max() > game.payoff_bound * (1 + 1e-9):
-            raise ValueError("payoffs left the declared range")
-        responses.append(response)
+        payoffs = np.asarray(best_response(mix), dtype=np.float64)
+        # NaN fails both comparisons
+        if payoffs.shape != (R,) or not (payoffs.min() >= -1e-9 and payoffs.max() <= high):
+            raise ValueError(f"payoff vector must have shape ({R},) and entries in "
+                             f"[0, {payoff_bound}]")
         payoff_sum += payoffs
         mix_sum += mix
-        log_weights += eta * (payoffs / game.payoff_bound)
-        t += 1
-        if stop_check is not None and (t % check_every == 0 or t == T):
-            if stop_check(t, payoff_sum / t):
-                stopped = True
+        log_weights += eta * (payoffs / payoff_bound)
+        if stop_check is not None and (t % CHECK_EVERY == 0 or t == T):
+            if stop_check(payoff_sum / t):
                 break
-
-    avg_payoffs = payoff_sum / t
-    return MwuResult(
-        row_mix=mix_sum / t,
-        responses=responses,
-        avg_payoffs=avg_payoffs,
-        value=float(avg_payoffs.max()),
-        rounds=t,
-        theory_rounds=theory_T,
-        epsilon=epsilon,
-        epsilon_certified=(t >= theory_T),
-        stopped_by_check=stopped,
-    )
-
-
-def solve_matrix_game(matrix: np.ndarray, epsilon: float, seed: int = 0,
-                      max_rounds: Optional[int] = None) -> MwuResult:
-    """Convenience wrapper for explicit payoff matrices: rows maximize,
-    columns minimize; the minimizer response is the best pure column."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError("need a 2-D payoff matrix")
-    bound = float(matrix.max())
-    if matrix.min() < 0:
-        raise ValueError("matrix entries must be nonnegative; shift the game first")
-    game = MatrixGame(num_rows=matrix.shape[0], payoff_bound=max(bound, 1e-30))
-
-    def best_response(mix: np.ndarray):
-        col = int(np.argmin(mix @ matrix))
-        return col, matrix[:, col]
-
-    return mwu_solve(game, best_response, epsilon, max_rounds=max_rounds, seed=seed)
+    return MwuResult(row_mix=mix_sum / t, rounds=t)

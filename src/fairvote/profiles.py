@@ -455,9 +455,13 @@ def _is_one(value: Number, row: Sequence[Number]) -> bool:
 def check_consistency(u: UtilityProfile, profile: PreferenceProfile
                       ) -> tuple[bool, Optional[ConsistencyViolation]]:
     """True iff utilities are non-increasing along each ballot's ranking (ties
-    allowed; comparison is >=) and the class_tag constraints hold."""
+    allowed; comparison is >=) and the class_tag constraints hold. Raises
+    ValueError when the shape or the ballot weights differ from the profile's."""
     if u.m != profile.m or u.num_ballots != profile.num_ballots:
         raise ValueError("utility profile dimensions do not match the preference profile")
+    if u.weights != profile.weights:
+        raise ValueError(f"utility weights {list(u.weights)} do not match the profile's "
+                         f"ballot weights {list(profile.weights)}")
     for b, (order, row) in enumerate(zip(profile.orders, u.utils)):
         for better, worse in zip(order, order[1:]):
             if row[better] < row[worse]:
@@ -477,8 +481,8 @@ def prefix_utility_row(order: Sequence[int], depth: int, m: int,
     if uniform:
         value: Number = Fraction(1, depth) if exact else 1.0 / depth
     else:
-        value = 1 if exact else 1.0
-    zero: Number = 0 if exact else 0.0
+        value = Fraction(1) if exact else 1.0
+    zero: Number = Fraction(0) if exact else 0.0
     row = [zero] * m
     for a in order[:depth]:
         row[a] = value

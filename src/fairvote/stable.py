@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mwu import CertificationError, MatrixGame, mwu_solve
+from .mwu import CertificationError, mwu_solve
 from .profiles import Distribution, PreferenceProfile, prefix_mass_matrix
 from .rules import harmonic_scores
 
@@ -100,7 +100,7 @@ def _top_set_fast_path(profile: PreferenceProfile, k: int) -> Optional[tuple[int
     return tuple(tops)
 
 
-def compute_stable_lottery(profile: PreferenceProfile, k: int, seed: int = 0) -> StableLottery:
+def compute_stable_lottery(profile: PreferenceProfile, k: int) -> StableLottery:
     """Compute a certified stable lottery of committee size k.
 
     The adversary runs multiplicative weights (Freund & Schapire 1999) over
@@ -129,18 +129,17 @@ def compute_stable_lottery(profile: PreferenceProfile, k: int, seed: int = 0) ->
         return lottery
 
     epsilon = 0.5 * (n / k - n / (k + 1))
-    game = MatrixGame(num_rows=profile.m, payoff_bound=float(n))
 
-    def best_response(mix: np.ndarray):
+    def best_response(mix: np.ndarray) -> np.ndarray:
         # the response is the mix itself, so row_mix is the mean response
-        return None, _iid_bound(mix, profile, k)
+        return _iid_bound(mix, profile, k)
 
-    def certified(_rounds: int, avg_payoffs: np.ndarray) -> bool:
+    def certified(avg_payoffs: np.ndarray) -> bool:
         # small relative margin so the from-scratch recompute (different
         # summation order) cannot flip a borderline certificate
         return float(avg_payoffs.max()) < budget * (1.0 - 1e-9)
 
-    result = mwu_solve(game, best_response, epsilon, seed=seed, stop_check=certified)
+    result = mwu_solve(profile.m, float(n), best_response, epsilon, stop_check=certified)
     z_bar = tuple(float(p) for p in result.row_mix)
     lottery = StableLottery(k=k, rounds=(LotteryRound(z=z_bar),))
     cert = stability_certificate(lottery, profile)
@@ -182,12 +181,12 @@ def distribution_from_lottery(lottery: StableLottery, m: int) -> Distribution:
     return Distribution(tuple(float(p) for p in probs))
 
 
-def stable_lottery_rule(profile: PreferenceProfile, seed: int = 0) -> Distribution:
+def stable_lottery_rule(profile: PreferenceProfile) -> Distribution:
     """Stable-lottery rule with k = ceil(sqrt(m))."""
     m = profile.m
     if m == 1:
         return Distribution((1.0,))
-    lottery = compute_stable_lottery(profile, committee_size(m), seed=seed)
+    lottery = compute_stable_lottery(profile, committee_size(m))
     return distribution_from_lottery(lottery, m)
 
 

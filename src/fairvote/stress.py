@@ -52,7 +52,7 @@ def stress_slr(trials: int, seed: int, m_list: Sequence[int] = DEFAULT_M_LIST,
         idx, profile = item
         m, n = profile.m, profile.n
         k = committee_size(m)
-        lottery = compute_stable_lottery(profile, k, seed=seed)
+        lottery = compute_stable_lottery(profile, k)
         cert = float(stability_certificate(lottery, profile).max())
         x = distribution_from_lottery(lottery, m)
         report = distortion(x, profile, UtilityClass.BALANCED)

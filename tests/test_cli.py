@@ -78,7 +78,7 @@ class TestRuleCommands:
         from fairvote import cli as cli_mod
         from fairvote.mwu import CertificationError
 
-        def boom(profile, seed=0):
+        def boom(profile):
             raise CertificationError("synthetic")
 
         monkeypatch.setattr(cli_mod.stable, "stable_lottery_rule", boom)
@@ -107,6 +107,21 @@ class TestEvalCommands:
                               triad_file, str(xp), "--class", "unit-sum")
         assert code == 0
         assert json.loads(out)["value"] == "44/23"
+
+    @pytest.mark.parametrize("argv", [
+        ["distortion", "--class", "unit-sum"], ["distortion", "--class", "unit-range"],
+        ["distortion", "--class", "approval"], ["distortion", "--class", "balanced"],
+        ["pf-distortion"]], ids=["unit-sum", "unit-range", "approval", "balanced", "pf"])
+    def test_rational_witness_entries_are_strings(self, capsys, triad_file, tmp_path, argv):
+        xp = tmp_path / "xr.json"
+        xp.write_text('{"m": 3, "probs": ["1/2", "1/4", "1/4"]}', encoding="utf-8")
+        code, out, _ = invoke(capsys, "--mode", "rational", "eval", argv[0], triad_file,
+                              str(xp), *argv[1:])
+        assert code == 0
+        rows = json.loads(out)["witness_utilities"]
+        assert all(isinstance(v, str) for row in rows for v in row), rows
+        if argv[-1] == "balanced":
+            assert ["0", "1", "0"] in rows
 
     def test_sw_with_utils(self, capsys, triad_file, x_file, tmp_path):
         up = tmp_path / "u.json"
@@ -380,7 +395,9 @@ class TestExitCodes:
          "ballot 1 ranks alternative 1 above 2"),
         ('{"class": "unit-sum", "utils": [[0.5, 0.25, 0], [0, 1, 0], [1, 0, 0]]}',
          "row 1: unit-sum row sums to 0.75"),
-    ], ids=["row-count", "alternatives", "order", "class"])
+        ('{"class": "approval", "utils": [[1, 0, 0], [0, 1, 0], [1, 0, 0]], '
+         '"weights": [5, 1, 1]}', "do not match the profile's ballot weights [1, 1, 1]"),
+    ], ids=["row-count", "alternatives", "order", "class", "weights"])
     def test_utilities_that_do_not_fit_the_profile_exit_one(self, capsys, tmp_path,
                                                             triad_file, x_file, command,
                                                             payload, reason):

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import fairvote as fv
+from fairvote import metrics, mwu
 
 
 def lp_game_value(matrix: np.ndarray) -> float:
@@ -21,23 +24,41 @@ def lp_game_value(matrix: np.ndarray) -> float:
     return -res.fun
 
 
+def solve(matrix: np.ndarray, epsilon: float, stop_check=None):
+    """mwu_solve against the best pure column of a nonnegative matrix; returns
+    the result, the averaged column strategy and the mixes the oracle saw."""
+    counts = np.zeros(matrix.shape[1])
+    mixes = []
+
+    def best_response(mix):
+        mixes.append(mix.copy())
+        col = int(np.argmin(mix @ matrix))
+        counts[col] += 1
+        return matrix[:, col]
+
+    result = fv.mwu_solve(matrix.shape[0], float(matrix.max()), best_response, epsilon,
+                          stop_check=stop_check)
+    return result, counts / result.rounds, mixes
+
+
 class TestMwuSolve:
     def test_matching_pennies(self):
         m = np.array([[1.0, 0.0], [0.0, 1.0]])
-        result = fv.solve_matrix_game(m, epsilon=0.01)
-        assert result.value == pytest.approx(0.5, abs=0.01)
+        _, y, _ = solve(m, epsilon=0.01)
+        assert (m @ y).max() == pytest.approx(0.5, abs=0.01)
 
     def test_single_row_game_exact(self):
         m = np.array([[0.3, 0.7, 0.2]])
-        result = fv.solve_matrix_game(m, epsilon=0.5)
+        result, y, _ = solve(m, epsilon=0.5)
         assert result.rounds == 1
-        assert result.value == 0.2
+        assert (m @ y).max() == 0.2
+        assert result.row_mix.tolist() == [1.0]
 
     def test_rock_paper_scissors(self):
         m = np.array([[0.5, 0.0, 1.0], [1.0, 0.5, 0.0], [0.0, 1.0, 0.5]])
         assert lp_game_value(m) == pytest.approx(0.5, abs=1e-9)
-        result = fv.solve_matrix_game(m, epsilon=0.01)
-        assert result.value == pytest.approx(0.5, abs=0.01)
+        result, y, _ = solve(m, epsilon=0.01)
+        assert (m @ y).max() == pytest.approx(0.5, abs=0.01)
         assert result.row_mix == pytest.approx(np.ones(3) / 3, abs=0.02)
 
     def test_regret_certificate_random_games(self):
@@ -46,44 +67,81 @@ class TestMwuSolve:
             rows, cols = int(rng.integers(2, 6)), int(rng.integers(2, 6))
             m = rng.uniform(size=(rows, cols))
             eps = 0.05
-            result = fv.solve_matrix_game(m, epsilon=eps)
-            # exhaustive row scan: the averaged column strategy concedes at
-            # most value + eps against every row
-            value = lp_game_value(m)
-            counts = np.bincount(result.responses, minlength=cols).astype(float)
-            y_avg = counts / counts.sum()
-            assert (m @ y_avg).max() <= value + eps + 1e-9
-            # the reported value estimate is certified for the same strategy
-            assert result.value <= value + eps + 1e-9
+            result, y, _ = solve(m, epsilon=eps)
+            # exhaustive row scan: the averaged pure-column response concedes
+            # at most value + eps against every row
+            assert (m @ y).max() <= lp_game_value(m) + eps + 1e-9
+            eps_norm = eps / m.max()
+            assert result.rounds == math.ceil(4 * math.log(rows) / eps_norm**2)
 
     def test_reproducible_traces(self):
         m = np.array([[0.2, 0.9], [0.8, 0.1]])
-        r1 = fv.solve_matrix_game(m, epsilon=0.02, seed=5)
-        r2 = fv.solve_matrix_game(m, epsilon=0.02, seed=5)
-        assert r1.responses == r2.responses
-        assert np.array_equal(r1.avg_payoffs, r2.avg_payoffs)
+        r1, y1, mixes1 = solve(m, epsilon=0.02)
+        r2, y2, mixes2 = solve(m, epsilon=0.02)
+        assert r1.rounds == r2.rounds
         assert np.array_equal(r1.row_mix, r2.row_mix)
-
-    def test_round_cap_flag(self):
-        m = np.array([[1.0, 0.0], [0.0, 1.0]])
-        result = fv.solve_matrix_game(m, epsilon=0.001, max_rounds=50)
-        assert result.rounds == 50
-        assert not result.epsilon_certified
+        assert np.array_equal(y1, y2)
+        assert np.array_equal(np.array(mixes1), np.array(mixes2))
 
     def test_payoff_range_validation(self):
-        game = fv.MatrixGame(num_rows=2, payoff_bound=1.0)
-        with pytest.raises(ValueError):
-            fv.mwu_solve(game, lambda mix: (None, np.array([2.0, 0.0])), epsilon=0.1)
+        bad = {
+            "shape": np.array([0.5, 0.5, 0.5]),
+            "nan": np.array([np.nan, 0.5]),
+            "+inf": np.array([np.inf, 0.5]),
+            "-inf": np.array([-np.inf, 0.5]),
+            "above bound": np.array([1.0 + 1e-6, 0.5]),
+            "below zero": np.array([-1e-8, 0.5]),
+        }
+        for payoffs in bad.values():
+            with pytest.raises(ValueError):
+                fv.mwu_solve(2, 1.0, lambda mix, p=payoffs: p, epsilon=0.1)
+        # the tolerances at both ends of the range are accepted
+        fv.mwu_solve(2, 1.0, lambda mix: np.array([-1e-10, 1.0 + 1e-10]), epsilon=0.5)
+
+    def test_rejects_bad_game(self):
+        def best_response(mix):
+            return np.zeros_like(mix)
+
+        for rows, bound, eps in ((0, 1.0, 0.1), (2, 0.0, 0.1), (2, math.inf, 0.1),
+                                 (2, 1.0, 0.0)):
+            with pytest.raises(ValueError):
+                fv.mwu_solve(rows, bound, best_response, eps)
 
     def test_early_stop_hook(self):
         m = np.array([[1.0, 0.0], [0.0, 1.0]])
-        game = fv.MatrixGame(num_rows=2, payoff_bound=1.0)
+        theory_rounds = math.ceil(4 * math.log(2) / 0.03**2)  # 3,081
+        played = []     # payoff vectors, one per round
+        asked = []      # (rounds played, avg_payoffs) at each check
 
         def best_response(mix):
-            col = int(np.argmin(mix @ m))
-            return col, m[:, col]
+            played.append(m[:, int(np.argmin(mix @ m))])
+            return played[-1]
 
-        result = fv.mwu_solve(game, best_response, epsilon=0.001,
-                              stop_check=lambda t, avg: avg.max() < 0.75,
-                              check_every=10)
-        assert result.stopped_by_check and result.rounds % 10 == 0
+        def never(avg):
+            asked.append((len(played), avg.copy()))
+            return False
+
+        result = fv.mwu_solve(2, 1.0, best_response, 0.03, stop_check=never)
+        assert [t for t, _ in asked] == [1000, 2000, 3000, theory_rounds]
+        assert mwu.CHECK_EVERY == 1000 and result.rounds == theory_rounds
+        # each check sees the average payoff of the rounds so far
+        for t, avg in asked:
+            assert avg == pytest.approx(np.mean(played[:t], axis=0))
+
+        # a true answer at the first check ends the run there
+        result = fv.mwu_solve(2, 1.0, best_response, 0.03, stop_check=lambda avg: True)
+        assert result.rounds == 1000
+
+
+def test_coalition_game_value_brackets_lp_value():
+    # _coalition_game_value(M, eps) estimates max_y min_i (M y) from below:
+    # the true value lies in [lo, lo + eps]
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        rows, cols = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        M = rng.uniform(-1.0, 1.0, size=(rows, cols))
+        eps = 0.25 * float(np.abs(M).max())
+        lo = metrics._coalition_game_value(M, eps)
+        value = lp_game_value(M.T)
+        assert lo <= value + 1e-9
+        assert value <= lo + eps + 1e-9

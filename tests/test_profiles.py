@@ -114,6 +114,22 @@ class TestConsistency:
         with pytest.raises(ValueError):
             fv.check_consistency(u, triad)
 
+    def test_weight_mismatch(self, triad, u2):
+        u = fv.UtilityProfile(utils=u2.utils, class_tag=u2.class_tag, weights=(5, 1, 1))
+        with pytest.raises(ValueError, match="ballot weights"):
+            fv.check_consistency(u, triad)
+        # the same weights as numbers of another type still match
+        u = fv.UtilityProfile(utils=u2.utils, class_tag=u2.class_tag,
+                              weights=(1.0, F(1), 1))
+        assert fv.check_consistency(u, triad) == (True, None)
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_exact_prefix_utility_rows_are_fractions(self, uniform):
+        row = fv.profiles.prefix_utility_row((2, 0, 1, 3), 2, 4, uniform=uniform, exact=True)
+        assert all(type(v) is F for v in row)
+        top = F(1, 2) if uniform else F(1)
+        assert row == (top, 0, top, 0)
+
     @pytest.mark.parametrize("tag", list(fv.UtilityClass))
     def test_random_generator_always_consistent(self, tag):
         # 1000 seeded draws across profiles, spread over the five classes

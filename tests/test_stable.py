@@ -218,9 +218,11 @@ class TestStableLotteryRule:
             x = fv.stable_lottery_rule(p)
             assert min(x.probs) >= 1.0 / (2 * m) - 1e-12
 
-    def test_deterministic_given_seed(self, triad):
-        a = fv.stable_lottery_rule(triad, seed=3)
-        b = fv.stable_lottery_rule(triad, seed=3)
+    def test_deterministic(self):
+        # no random draws: repeated calls on an equal profile agree exactly
+        p = fv.random_profile(20, 9, np.random.default_rng(3))
+        a = fv.stable_lottery_rule(p)
+        b = fv.stable_lottery_rule(fv.parse_profile(fv.serialize_profile(p)))
         assert a.probs == b.probs
 
 
