@@ -29,7 +29,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import mwu as mwu_mod
 from .mwu import CertificationError
 from .profiles import (
     Distribution,
@@ -463,23 +462,10 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def _coalition_game_value(M: np.ndarray, epsilon: float) -> float:
-    """Certified-from-below estimate of max_y min_i (M y) via mwu_solve on the
-    negated game; returns lo with true value in [lo, lo + epsilon]."""
-    rows, m = M.shape
-    shift = float(np.abs(M).max())
-    if shift == 0.0:
-        return 0.0
-    P = shift - M  # in [0, 2*shift]; adversary maximizes P <=> minimizes M
-    y_sum = np.zeros(m)
-
-    def best_response(mix: np.ndarray) -> np.ndarray:
-        col = int(np.argmin(mix @ P))
-        y_sum[col] += 1.0
-        return P[:, col]
-
-    y_avg = y_sum / mwu_mod.mwu_solve(rows, 2.0 * shift, best_response, epsilon).rounds
-    return float((M @ y_avg).min())
+def _coalition_game_value(M: np.ndarray) -> float:
+    """An upper bound on the game value max_y min_i (M y)_i over the simplex,
+    by weak duality against the coalition's average member: one mat-vec."""
+    return float(M.mean(axis=0).max())
 
 
 def core_check(x: Distribution, u: UtilityProfile, alpha: float,
@@ -487,11 +473,18 @@ def core_check(x: Distribution, u: UtilityProfile, alpha: float,
     """Search all coalitions of stored ballots for an alpha-core violation.
 
     A coalition S violates when some deviation y satisfies
-    (|S|/n) u_i(y) >= alpha * u_i(x) for all i in S with one strict. Each
-    coalition's max-min game is screened with mwu_solve; the strict witness is
-    then resolved by maximizing total slack (exact LP), and any returned
-    witness is re-verified against the definition.
+    (|S|/n) u_i(y) >= alpha * u_i(x) for all i in S with one strict. With
+    M the coalition's (|S|, m) payoff matrix, a screen of O(|S| m) work
+    skips the coalition on one of two Farkas certificates: a member for whom
+    every alternative falls short (a row of M below -tol), or the average
+    member for whom every alternative does (`_coalition_game_value`). So it
+    never skips a coalition that has a witness. One HiGHS LP that maximizes
+    total slack decides every other coalition, and a returned witness is
+    re-verified against the definition. An LP that ends neither solved nor
+    infeasible raises CertificationError. alpha must be finite and >= 0.
     """
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if x.m != u.m:
         raise ValueError("distribution/utility dimension mismatch")
     if u.n > 20:
@@ -506,19 +499,18 @@ def core_check(x: Distribution, u: UtilityProfile, alpha: float,
         members = [b for b in range(B) if mask >> b & 1]
         W = float(block_w[members].sum())
         M = (W / n) * U[members] - alpha * c[members][:, None]
-        if np.any(M.max(axis=1) < -tol):
-            continue  # some member cannot be compensated by any deviation
-        scale = float(np.abs(M).max())
-        if scale > 0 and len(members) > 1:
-            lo = _coalition_game_value(M, epsilon=0.25 * scale)
-            if lo + 0.25 * scale < -tol:
-                continue
+        if np.any(M.max(axis=1) < -tol) or _coalition_game_value(M) < -tol:
+            continue  # no deviation compensates every member
         # slack maximization: max sum_i M_i . y  s.t.  M y >= 0, y in simplex
         res = linprog(c=-(M.sum(axis=0)), A_ub=-M, b_ub=np.zeros(len(members)),
                       A_eq=np.ones((1, U.shape[1])), b_eq=[1.0], bounds=(0.0, 1.0),
                       method="highs")
-        if not res.success:
+        if res.status == 2:  # infeasible: this coalition cannot deviate
             continue
+        if not res.success:
+            raise CertificationError(
+                f"core LP for the coalition of ballots {[b + 1 for b in members]} "
+                f"failed (status {res.status}): {res.message}")
         y = np.maximum(res.x, 0.0)
         y = y / y.sum()
         slacks = M @ y

@@ -68,17 +68,18 @@ class PreferenceProfile:
     """
 
     m: int
-    orders: tuple[tuple[int, ...], ...]
+    orders: tuple[tuple[int, ...], ...]  # stored as tuples; given as any (B, m) int array-like
     weights: tuple[int, ...]
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("need at least one alternative")
-        if not self.orders:
+        if not len(self.orders):
             raise ValueError("need at least one ballot")
         if len(self.orders) != len(self.weights):
             raise ValueError("orders/weights length mismatch")
         orders = _ballot_array(self.orders, self.m)
+        object.__setattr__(self, "orders", tuple(map(tuple, orders.tolist())))
         ranks, bad = _ranks(orders, 0)
         if bad is not None:
             raise ValueError(f"ballot {self.orders[bad]} is not a permutation "
@@ -360,12 +361,15 @@ def parse_profile(text: str) -> PreferenceProfile:
     n, m = header
     if not rows:
         raise ProfileFormatError("header present but no ballots", 1)
-    orders = _check_ballots(rows, linenos, lines) - 1
+    try:
+        profile = PreferenceProfile(m=m, orders=np.array(rows) - 1, weights=tuple(weights))
+    except ValueError:  # a ballot that is not a permutation: find its line
+        _check_ballots(rows, linenos, lines)
+        raise
     total = sum(weights)
     if total != n:
         raise ProfileFormatError(f"header says n={n} but ballots carry total weight {total}", 1)
-    return PreferenceProfile(m=m, orders=tuple(map(tuple, orders.tolist())),
-                             weights=tuple(weights))
+    return profile
 
 
 def _split_ballot(line: str) -> tuple[Optional[str], str]:
@@ -376,13 +380,13 @@ def _split_ballot(line: str) -> tuple[Optional[str], str]:
     return head.strip(), body
 
 
-def _check_ballots(rows: list[list[int]], linenos: list[int], lines: list[str]) -> np.ndarray:
-    """The parsed 1-based ballots (rows of one length m) as an array; raises
-    ProfileFormatError at the first line whose ballot is not a permutation."""
+def _check_ballots(rows: list[list[int]], linenos: list[int], lines: list[str]) -> None:
+    """Raise ProfileFormatError at the first line whose parsed 1-based ballot
+    (rows of one length m) is not a permutation."""
     ballots = np.array(rows)  # int64, or float64/object when an entry is huge
     bad = _ranks(ballots, 1)[1] if rows else None
     if bad is None:
-        return ballots
+        return
     m = ballots.shape[1]
     out_of_range = [r for r in rows[bad] if not 1 <= r <= m]
     if out_of_range:

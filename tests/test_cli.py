@@ -167,6 +167,30 @@ class TestEvalCommands:
         assert code == 0
         assert json.loads(out)["violated"] is False
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
+    def test_core_alpha_must_be_finite_and_nonnegative(self, capsys, tmp_path, triad_file,
+                                                       u_file, alpha):
+        # x gives ballot 2 zero utility, so alpha = inf made a NaN payoff
+        xp = tmp_path / "x0.json"
+        xp.write_text('{"m": 3, "probs": [1, 0, 0]}', encoding="utf-8")
+        code, out, err = invoke(capsys, "eval", "core", triad_file, str(xp),
+                                "--utils", u_file, "--alpha", alpha)
+        assert code == 1 and out == ""
+        assert err.startswith("error: alpha must be finite and >= 0") and err.count("\n") == 1
+
+    def test_core_lp_failure_exits_two(self, capsys, triad_file, x_file, u_file,
+                                       monkeypatch):
+        from types import SimpleNamespace
+
+        from fairvote import metrics
+
+        monkeypatch.setattr(metrics, "linprog", lambda *args, **kwargs: SimpleNamespace(
+            status=1, success=False, x=None, message="iteration limit reached"))
+        code, out, err = invoke(capsys, "eval", "core", triad_file, x_file,
+                                "--utils", u_file, "--alpha", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("certification failure: core LP") and "status 1" in err
+
 
 class TestOptCommands:
     def test_opt_pf(self, capsys, triad_file):

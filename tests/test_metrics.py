@@ -3,14 +3,17 @@ import math
 import warnings
 from fractions import Fraction
 from fractions import Fraction as F
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 import pytest
 
 import fairvote as fv
-from fairvote.metrics import (DistortionReport, OracleScaleError, _vertex_depth_values,
-                              _witness_from_combo, _witness_ratio, social_welfare)
+from fairvote import metrics
+from fairvote.metrics import (CoreReport, DistortionReport, OracleScaleError,
+                              _vertex_depth_values, _witness_from_combo, _witness_ratio,
+                              social_welfare)
 from fairvote.profiles import Distribution, Number, PreferenceProfile, UtilityClass
 
 DISTORTION_CLASSES = (fv.UtilityClass.UNIT_SUM, fv.UtilityClass.APPROVAL,
@@ -123,6 +126,80 @@ def per_a_star_distortion(x: Distribution, profile: PreferenceProfile,
         s = social_welfare(x, witness)
         best_val = math.inf if s == 0 else _witness_ratio(witness, a_star, s)
     return DistortionReport(best_val, cls, a_star, witness)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the earlier `core_check`, kept verbatim but for its imports. It
+# screened each coalition with an MWU estimate of its game value before the
+# LP; `core_check` now screens on one mat-vec and lets the LP decide.
+# ---------------------------------------------------------------------------
+
+def _mwu_coalition_game_value(M: np.ndarray, epsilon: float) -> float:
+    """Certified-from-below estimate of max_y min_i (M y) via mwu_solve on the
+    negated game; returns lo with true value in [lo, lo + epsilon]."""
+    rows, m = M.shape
+    shift = float(np.abs(M).max())
+    if shift == 0.0:
+        return 0.0
+    P = shift - M  # in [0, 2*shift]; adversary maximizes P <=> minimizes M
+    y_sum = np.zeros(m)
+
+    def best_response(mix: np.ndarray) -> np.ndarray:
+        col = int(np.argmin(mix @ P))
+        y_sum[col] += 1.0
+        return P[:, col]
+
+    y_avg = y_sum / fv.mwu_solve(rows, 2.0 * shift, best_response, epsilon).rounds
+    return float((M @ y_avg).min())
+
+
+def mwu_screened_core_check(x: Distribution, u: fv.UtilityProfile, alpha: float,
+                            tol: float = 1e-9) -> CoreReport:
+    """Search all coalitions of stored ballots for an alpha-core violation.
+
+    A coalition S violates when some deviation y satisfies
+    (|S|/n) u_i(y) >= alpha * u_i(x) for all i in S with one strict. Each
+    coalition's max-min game is screened with mwu_solve; the strict witness is
+    then resolved by maximizing total slack (exact LP), and any returned
+    witness is re-verified against the definition.
+    """
+    from scipy.optimize import linprog
+
+    if x.m != u.m:
+        raise ValueError("distribution/utility dimension mismatch")
+    if u.n > 20:
+        raise ValueError("core_check enumerates coalitions; capped at n <= 20")
+    U = u.as_array()
+    n = float(u.n)
+    c = np.array([float(e) for e in u.expected(x)])
+    B = u.num_ballots
+    block_w = np.asarray(u.weights, dtype=np.float64)
+
+    for mask in range(1, 1 << B):
+        members = [b for b in range(B) if mask >> b & 1]
+        W = float(block_w[members].sum())
+        M = (W / n) * U[members] - alpha * c[members][:, None]
+        if np.any(M.max(axis=1) < -tol):
+            continue  # some member cannot be compensated by any deviation
+        scale = float(np.abs(M).max())
+        if scale > 0 and len(members) > 1:
+            lo = _mwu_coalition_game_value(M, epsilon=0.25 * scale)
+            if lo + 0.25 * scale < -tol:
+                continue
+        # slack maximization: max sum_i M_i . y  s.t.  M y >= 0, y in simplex
+        res = linprog(c=-(M.sum(axis=0)), A_ub=-M, b_ub=np.zeros(len(members)),
+                      A_eq=np.ones((1, U.shape[1])), b_eq=[1.0], bounds=(0.0, 1.0),
+                      method="highs")
+        if not res.success:
+            continue
+        y = np.maximum(res.x, 0.0)
+        y = y / y.sum()
+        slacks = M @ y
+        if slacks.min() >= -tol and slacks.max() > tol:
+            return CoreReport(alpha=alpha, violated=True,
+                              witness_agents=tuple(members),
+                              witness_deviation=Distribution(tuple(float(v) for v in y)))
+    return CoreReport(alpha=alpha, violated=False)
 
 
 class TestSocialWelfare:
@@ -489,6 +566,63 @@ class TestCoreCheck:
         with pytest.raises(ValueError):
             fv.core_check(fv.Distribution.uniform(3), u, 1.0)
 
+
+    def test_matches_the_mwu_screened_check(self):
+        # same verdicts, witness coalitions and deviations, bit for bit
+        rng = np.random.default_rng(26)
+        classes = (fv.UtilityClass.UNIT_SUM, fv.UtilityClass.UNIT_RANGE,
+                   fv.UtilityClass.APPROVAL)
+        verdicts = []
+        for trial in range(240):
+            n, m = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+            p = fv.random_profile(n, m, rng)
+            u = fv.random_consistent_utilities(p, classes[trial % 3], rng)
+            if trial % 4 == 0:  # a uniform lottery over some alternatives
+                support = rng.permutation(m)[:int(rng.integers(1, m + 1))]
+                x = fv.Distribution(tuple(1.0 / len(support) if a in support else 0.0
+                                          for a in range(m)))
+            else:
+                x = fv.Distribution(tuple(rng.dirichlet(np.ones(m))))
+            alpha = float(rng.uniform(0.5, 1.5))
+            new, old = fv.core_check(x, u, alpha), mwu_screened_core_check(x, u, alpha)
+            assert new.violated == old.violated
+            assert new.witness_agents == old.witness_agents
+            assert new.witness_deviation == old.witness_deviation
+            verdicts.append(new.violated)
+        assert 0.2 < np.mean(verdicts) < 0.8
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -1.0, -1e-12])
+    def test_alpha_must_be_finite_and_nonnegative(self, top_approvals, x_core, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+            fv.core_check(x_core, top_approvals, alpha)
+
+    def test_zero_alpha_is_accepted(self, top_approvals, x_core):
+        # any coalition gains by deviating to its own favourite
+        assert fv.core_check(x_core, top_approvals, 0.0).violated
+
+    def test_lp_failure_is_a_certification_error(self, top_approvals, monkeypatch):
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            return SimpleNamespace(status=4, success=False, x=None,
+                                   message="numerical difficulties")
+
+        monkeypatch.setattr(metrics, "linprog", failing)
+        with pytest.raises(fv.CertificationError, match="status 4"):
+            fv.core_check(fv.Distribution.uniform(3), top_approvals, 1.0)
+        assert calls == [1]
+
+    def test_infeasible_lp_means_no_deviation(self, top_approvals, monkeypatch):
+        calls = []
+
+        def infeasible(*args, **kwargs):
+            calls.append(1)
+            return SimpleNamespace(status=2, success=False, x=None, message="infeasible")
+
+        monkeypatch.setattr(metrics, "linprog", infeasible)
+        assert not fv.core_check(fv.Distribution.uniform(3), top_approvals, 1.0).violated
+        assert calls
 
 class TestCrossMetricLinks:
     def test_prop_nash_below_pf(self):
