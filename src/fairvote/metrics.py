@@ -36,6 +36,7 @@ from .profiles import (
     PreferenceProfile,
     UtilityClass,
     UtilityProfile,
+    at_ranks,
     prefix_mass_matrix,
     prefix_utility_row,
 )
@@ -128,7 +129,9 @@ def _dinkelbach(probs: np.ndarray, weights: np.ndarray, profile: PreferenceProfi
 
     The one kernel of both modes: `probs` and `weights` are float64 arrays
     with `one` = 1.0, or object arrays of Fraction and int with `one` =
-    Fraction(1), and every operation below keeps that type.
+    Fraction(1), and every operation below keeps that type. The gathers
+    (`at_ranks`, `np.choose`, row indexing) only select entries, so both
+    modes stay exact.
 
     One Dinkelbach ratio iteration shared by every a*: at t, for all a at
     once, g_a(t) = sum_b w_b max_v [A_v(a) - t B_v]; the argmax a* (lowest
@@ -139,7 +142,7 @@ def _dinkelbach(probs: np.ndarray, weights: np.ndarray, profile: PreferenceProfi
     """
     use_ind, use_uni = _vertex_depth_values(cls)
     col = profile.rank_matrix() - 1                    # (B, m): 0-based rank of a on b
-    prefix = np.cumsum(probs[profile.order_matrix()], axis=1)  # mass of b's top j+1
+    prefix = probs[profile.order_matrix()].cumsum(axis=1)  # mass of b's top j+1
     rows = np.arange(col.shape[0])
     depths = np.arange(1, profile.m + 1)
 
@@ -154,11 +157,10 @@ def _dinkelbach(probs: np.ndarray, weights: np.ndarray, profile: PreferenceProfi
     # one minimises B whatever t is. A ballot's top (r = 1) has none; there
     # the gathers give a depth-1 vertex with A = 0, which the depth-1 vertex
     # with A = 1 beats by 1, so it never wins and needs no mask.
-    at_rank = np.take_along_axis(prefix, col, axis=1)  # B of the indicator at depth r
+    at_rank = at_ranks(prefix, profile)                # B of the indicator at depth r
     if use_uni:
         per_depth = prefix / depths                    # B of the uniform vertex at j+1
-        low_uni = np.take_along_axis(np.minimum.accumulate(per_depth, axis=1),
-                                     np.maximum(col - 1, 0), axis=1)
+        low_uni = at_ranks(np.minimum.accumulate(per_depth, axis=1), profile, above=True)
 
     t = 0 * one
     best = None
@@ -169,8 +171,8 @@ def _dinkelbach(probs: np.ndarray, weights: np.ndarray, profile: PreferenceProfi
         if use_uni:
             scaled = (one - t * prefix) / depths
             suffix = np.maximum.accumulate(scaled[:, ::-1], axis=1)[:, ::-1]
-            terms.append(np.maximum(np.take_along_axis(suffix, col, axis=1), -t * low_uni))
-        a_star = int(np.argmax(weights @ np.maximum.reduce(terms)))
+            terms.append(np.maximum(at_ranks(suffix, profile), -t * low_uni))
+        a_star = int((weights @ np.maximum.reduce(terms)).argmax())
 
         # a*'s per-ballot candidate vertices (value, depth, uniform), in order
         # of non-increasing A so that argmax's first maximum wins ties
@@ -180,17 +182,17 @@ def _dinkelbach(probs: np.ndarray, weights: np.ndarray, profile: PreferenceProfi
             cands.append((one - t * at_rank[:, a_star], c + 1, False))
         if use_uni:
             top = suffix[rows, c]
-            first = np.argmax((scaled >= top[:, None]) & (depths > c[:, None]), axis=1)
+            first = ((scaled >= top[:, None]) & (depths > c[:, None])).argmax(axis=1)
             cands.append((top, first + 1, True))
         if use_ind:
             cands.append((-t * prefix[:, 0], 1, False))
         if use_uni:
             low = low_uni[:, a_star]
-            first = np.argmax((per_depth <= low[:, None]) & (depths <= c[:, None]), axis=1)
+            first = ((per_depth <= low[:, None]) & (depths <= c[:, None])).argmax(axis=1)
             cands.append((-t * low, first + 1, True))
         values, depth_opts, uniform_opts = zip(*cands)
-        pick = np.argmax(np.stack(values), axis=0)
-        depth = np.stack(np.broadcast_arrays(*depth_opts))[pick, rows]
+        pick = np.array(values).argmax(axis=0)
+        depth = np.choose(pick, depth_opts)
         uniform = np.array(uniform_opts)[pick]
 
         scale = np.where(uniform, depth, 1)

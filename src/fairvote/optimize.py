@@ -3,8 +3,10 @@ plus a guarded variant minimizing utilitarian distortion.
 
 Both optimizers run over a lower-bounded simplex: projection substitutes
 x = lb + w and water-fills w onto the scaled simplex, so region constraints
-hold exactly at every iterate. Steps are adaptive (AdaGrad-norm), followed by
-a restarted Polyak refinement that handles the kinks where these piecewise
+hold exactly at every iterate. Each iterate is evaluated once: its value
+comes with a tag (the PF argmax and prefix masses, or the distortion report)
+that the subgradient reads. Steps are adaptive (AdaGrad-norm), followed by a
+restarted Polyak refinement that handles the kinks where these piecewise
 objectives attain their minima; the fixed schedule D/(G sqrt(T)) with the
 region-floor G is astronomically small at this scale and is kept only inside
 the certification accounting.
@@ -38,6 +40,10 @@ class FeasibleRegion:
             raise ValueError("lower bounds must be nonnegative")
         if sum(self.lower_bounds) > 1.0 + 1e-12:
             raise ValueError("empty region: lower bounds sum beyond 1")
+        lb = np.asarray(self.lower_bounds)  # floors and slack, read by every projection
+        lb.flags.writeable = False
+        object.__setattr__(self, "_lb", lb)
+        object.__setattr__(self, "_slack", max(1.0 - float(lb.sum()), 0.0))
 
     @property
     def m(self) -> int:
@@ -69,12 +75,8 @@ def project(v: np.ndarray, region: FeasibleRegion) -> Distribution:
 
 
 def _project_array(v: np.ndarray, region: FeasibleRegion) -> np.ndarray:
-    lb = np.asarray(region.lower_bounds)
-    slack = 1.0 - float(lb.sum())
-    if slack < 0:
-        slack = 0.0
-    w = project_to_scaled_simplex(v - lb, slack)
-    return lb + w
+    lb = region._lb
+    return lb + project_to_scaled_simplex(v - lb, region._slack)
 
 
 # ---------------------------------------------------------------------------
@@ -85,24 +87,29 @@ class _PFObjective:
     def __init__(self, profile: PreferenceProfile):
         self.profile = profile
         self.n = float(profile.n)
+        self.weights = profile.weight_array()
+        ranks = profile.rank_matrix()  # above[a][b, a'] is True iff b ranks a' weakly above a
+        self.above = ranks[None, :, :] <= ranks.T[:, :, None]
 
     def prefix_masses(self, x: np.ndarray) -> np.ndarray:
         return prefix_mass_matrix(x, self.profile)
 
-    def payoffs(self, x: np.ndarray) -> np.ndarray:
-        H = self.prefix_masses(x)
-        return (self.profile.weight_array() @ (1.0 / H)) / self.n
+    def payoffs(self, x: np.ndarray, H: Optional[np.ndarray] = None) -> np.ndarray:
+        if H is None:
+            H = self.prefix_masses(x)
+        return (self.weights @ (1.0 / H)) / self.n
 
-    def value_and_argmax(self, x: np.ndarray) -> tuple[float, int]:
-        p = self.payoffs(x)
-        a = int(np.argmax(p))  # lowest index on ties
-        return float(p[a]), a
-
-    def subgradient(self, x: np.ndarray, a_star: int) -> np.ndarray:
+    def value_and_argmax(self, x: np.ndarray) -> tuple[float, tuple[int, np.ndarray]]:
+        """f(x) and the tag (a*, H) that `subgradient` reads."""
         H = self.prefix_masses(x)
-        coeff = self.profile.weight_array() / (self.n * H[:, a_star] ** 2)
-        ranks = self.profile.rank_matrix()
-        return -(coeff @ (ranks <= ranks[:, a_star][:, None]))
+        p = self.payoffs(x, H)
+        a = int(p.argmax())  # lowest index on ties
+        return float(p[a]), (a, H)
+
+    def subgradient(self, x: np.ndarray, tag: tuple[int, np.ndarray]) -> np.ndarray:
+        a_star, H = tag
+        coeff = self.weights / (self.n * H[:, a_star] ** 2)
+        return -(coeff @ self.above[a_star])
 
 
 def pf_subgradient(x: Distribution, profile: PreferenceProfile,
@@ -112,12 +119,12 @@ def pf_subgradient(x: Distribution, profile: PreferenceProfile,
     -(1/n) sum over agents ranking a' weakly above a* of 1/x(h_i(a*))^2."""
     obj = _PFObjective(profile)
     arr = x.as_array()
-    if a_star is None:
-        _, a_star = obj.value_and_argmax(arr)
     H = obj.prefix_masses(arr)
+    if a_star is None:
+        a_star = int(np.argmax(obj.payoffs(arr, H)))
     if H[:, a_star].min() <= 0.0:
         raise ValueError("zero prefix mass at the argmax alternative")
-    return obj.subgradient(arr, a_star)
+    return obj.subgradient(arr, (a_star, H))
 
 
 @dataclass
@@ -200,13 +207,19 @@ def _subgradient_minimize(value_argmax: Callable[[np.ndarray], tuple[float, obje
     return best_x, best_f, iters, certified
 
 
+def _check_budget(epsilon: float, max_iters: int) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
+
+
 def optimize_pf(profile: PreferenceProfile, epsilon: float,
                 max_iters: int = 1_000_000) -> OptimizationResult:
     """Minimize the proportional-fairness distortion over the floored region,
     starting from the top-choice fractions. The best visited iterate is
     returned; its value is checked against the 2(1 + ln(2m)) guarantee."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_budget(epsilon, max_iters)
     m = profile.m
     beta = pf_bound(m)
     if m == 1:
@@ -215,8 +228,7 @@ def optimize_pf(profile: PreferenceProfile, epsilon: float,
     obj = _PFObjective(profile)
     x0 = _project_array(np.asarray(profile.top_fractions()), region)
 
-    lb = np.asarray(region.lower_bounds)
-    floors = np.array([lb[order[0]] for order in profile.orders])
+    floors = region._lb[profile.order_matrix()[:, 0]]
     norm_bound = math.sqrt(m) * float(profile.weight_array() @ (1.0 / floors**2)) / profile.n
 
     best_x, best_f, iters, certified = _subgradient_minimize(
@@ -239,19 +251,16 @@ def optimize_distortion(profile: PreferenceProfile, cls: UtilityClass, epsilon: 
     Subgradients come from the report witness: the active ratio
     SW(a*, u)/SW(x, u) has gradient -(value / SW(x, u)) * swvec with
     swvec(a') = sum_i u_i(a')."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    m = profile.m
-    region = guarded_region(m, guard)
+    _check_budget(epsilon, max_iters)
+    region = guarded_region(profile.m, guard)
     weights = profile.weight_array()
 
     def value_argmax(x_arr: np.ndarray) -> tuple[float, DistortionReport]:
-        report = distortion(Distribution(tuple(float(p) for p in x_arr)), profile, cls)
+        report = distortion(Distribution(tuple(x_arr.tolist())), profile, cls)
         return float(report.value), report
 
     def subgrad(x_arr: np.ndarray, report: DistortionReport) -> np.ndarray:
-        witness = report.witness_utilities.as_array()
-        swvec = weights @ witness
+        swvec = weights @ report.witness_utilities.as_array()
         sw_x = float(swvec @ x_arr)
         return -(float(report.value) / sw_x) * swvec
 

@@ -424,7 +424,16 @@ def prefix_mass(x: Distribution, profile: PreferenceProfile, ballot: int,
 def prefix_mass_matrix(x: np.ndarray, profile: PreferenceProfile) -> np.ndarray:
     """(num_ballots, m) float array H with H[b, a] = x(h_b(a)): the running
     sum of x down each ballot, gathered back to alternatives."""
-    return np.cumsum(x[profile.order_matrix()], axis=1).take(profile._rank_index)
+    return at_ranks(x[profile.order_matrix()].cumsum(axis=1), profile)
+
+
+def at_ranks(by_depth: np.ndarray, profile: PreferenceProfile, above: bool = False) -> np.ndarray:
+    """Entry [b, a] is by_depth[b, r], r the 0-based rank of a on ballot b, or
+    with `above` by_depth[b, max(r - 1, 0)]: a selection, exact in any dtype."""
+    index = profile._rank_index
+    if above:  # index - r is the row's start
+        index = np.maximum(index - 1, index - (profile._ranks - 1))
+    return by_depth.take(index)
 
 
 def _class_violation(row: Sequence[Number], tag: UtilityClass, ballot: int) -> Optional[ConsistencyViolation]:

@@ -201,6 +201,19 @@ class TestOptCommands:
         assert payload["value"] == pytest.approx(1.4714, abs=0.01)
         assert "iterations" in payload and "certified" in payload
 
+    @pytest.mark.parametrize("command", [["pf"], ["distortion", "--class", "unit-sum"]],
+                             ids=["pf", "distortion"])
+    @pytest.mark.parametrize("option, value, field", [
+        ("--eps", "nan", "epsilon"), ("--eps", "inf", "epsilon"), ("--eps", "0", "epsilon"),
+        ("--max-iters", "-3", "max_iters")])
+    def test_bad_budget_exits_one(self, capsys, triad_file, command, option, value, field):
+        # --eps nan ran 2,000 steps and skipped phase B, --eps inf certified
+        # after one step, and --max-iters -3 reported 0 iterations: all exit 0
+        code, out, err = invoke(capsys, "opt", command[0], triad_file, *command[1:],
+                                option, value)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {field} must be") and err.count("\n") == 1
+
 
 class TestGenCommands:
     def test_nash_lb_summary(self, capsys):

@@ -202,6 +202,94 @@ def mwu_screened_core_check(x: Distribution, u: fv.UtilityProfile, alpha: float,
     return CoreReport(alpha=alpha, violated=False)
 
 
+# ---------------------------------------------------------------------------
+# Oracle: the earlier `_dinkelbach`, kept verbatim but for its name. It read
+# its per-alternative entries with np.take_along_axis and picked depths from
+# stacked arrays; `_dinkelbach` now selects them with flat `take` and
+# `np.choose`. The two must agree exactly, in float and in Fraction mode.
+# ---------------------------------------------------------------------------
+
+def parent_dinkelbach(probs: np.ndarray, weights: np.ndarray, profile: PreferenceProfile,
+                cls: UtilityClass, one: Number) -> tuple[Number, int, list[tuple[int, bool]]]:
+    """sup over a* and vertex profiles u of SW(a*, u)/SW(x, u); returns
+    (value, a*, per-ballot (depth, uniform)).
+
+    The one kernel of both modes: `probs` and `weights` are float64 arrays
+    with `one` = 1.0, or object arrays of Fraction and int with `one` =
+    Fraction(1), and every operation below keeps that type.
+
+    One Dinkelbach ratio iteration shared by every a*: at t, for all a at
+    once, g_a(t) = sum_b w_b max_v [A_v(a) - t B_v]; the argmax a* (lowest
+    index on ties) and its per-ballot argmax vertices (larger A on ties) give
+    the next t = sum w A / sum w B. t rises strictly over the finitely many
+    vertex ratios until it stops rising, and the value is the last combo's
+    own ratio, so its witness reproduces it.
+    """
+    use_ind, use_uni = _vertex_depth_values(cls)
+    col = profile.rank_matrix() - 1                    # (B, m): 0-based rank of a on b
+    prefix = np.cumsum(probs[profile.order_matrix()], axis=1)  # mass of b's top j+1
+    rows = np.arange(col.shape[0])
+    depths = np.arange(1, profile.m + 1)
+
+    if not prefix[:, 0].any():
+        # every top has zero mass: a zero-mass prefix reaching a* has SW(x) = 0
+        reach = col < (prefix == 0).sum(axis=1)[:, None]
+        a_star = int(np.argmax(reach.any(axis=0)))
+        depth = np.where(reach[:, a_star], col[:, a_star] + 1, 1)
+        return math.inf, a_star, [(int(d), not use_ind) for d in depth]
+
+    # A vertex whose prefix stops above a (depth < r) has A = 0, so the best
+    # one minimises B whatever t is. A ballot's top (r = 1) has none; there
+    # the gathers give a depth-1 vertex with A = 0, which the depth-1 vertex
+    # with A = 1 beats by 1, so it never wins and needs no mask.
+    at_rank = np.take_along_axis(prefix, col, axis=1)  # B of the indicator at depth r
+    if use_uni:
+        per_depth = prefix / depths                    # B of the uniform vertex at j+1
+        low_uni = np.take_along_axis(np.minimum.accumulate(per_depth, axis=1),
+                                     np.maximum(col - 1, 0), axis=1)
+
+    t = 0 * one
+    best = None
+    while True:
+        terms = []
+        if use_ind:
+            terms.append(np.maximum(one - t * at_rank, -t * prefix[:, :1]))
+        if use_uni:
+            scaled = (one - t * prefix) / depths
+            suffix = np.maximum.accumulate(scaled[:, ::-1], axis=1)[:, ::-1]
+            terms.append(np.maximum(np.take_along_axis(suffix, col, axis=1), -t * low_uni))
+        a_star = int(np.argmax(weights @ np.maximum.reduce(terms)))
+
+        # a*'s per-ballot candidate vertices (value, depth, uniform), in order
+        # of non-increasing A so that argmax's first maximum wins ties
+        c = col[:, a_star]
+        cands = []
+        if use_ind:
+            cands.append((one - t * at_rank[:, a_star], c + 1, False))
+        if use_uni:
+            top = suffix[rows, c]
+            first = np.argmax((scaled >= top[:, None]) & (depths > c[:, None]), axis=1)
+            cands.append((top, first + 1, True))
+        if use_ind:
+            cands.append((-t * prefix[:, 0], 1, False))
+        if use_uni:
+            low = low_uni[:, a_star]
+            first = np.argmax((per_depth <= low[:, None]) & (depths <= c[:, None]), axis=1)
+            cands.append((-t * low, first + 1, True))
+        values, depth_opts, uniform_opts = zip(*cands)
+        pick = np.argmax(np.stack(values), axis=0)
+        depth = np.stack(np.broadcast_arrays(*depth_opts))[pick, rows]
+        uniform = np.array(uniform_opts)[pick]
+
+        scale = np.where(uniform, depth, 1)
+        ratio = (weights @ (np.where(depth > c, one, 0 * one) / scale)) / (
+            weights @ (prefix[rows, depth - 1] / scale))
+        if ratio <= t:
+            return best
+        t = ratio
+        best = (ratio, a_star, list(zip(depth.tolist(), uniform.tolist())))
+
+
 class TestSocialWelfare:
     def test_reference_value(self, x_half, u2):
         assert fv.social_welfare(x_half, u2) == F(23, 24)
@@ -373,6 +461,42 @@ class TestDistortion:
                     assert sw_star / sw_x == report.value
                 if a_star != oracle.witness_alternative:
                     assert _distortion_at_exact(x, p, cls, a_star)[0] == report.value
+
+    def test_kernel_matches_earlier_kernel_exactly(self):
+        """`_dinkelbach` against its earlier form on a seeded sample (m 2-9,
+        n <= 30): the same (value, a*, combo) to the last bit in float mode
+        and exactly in Fraction mode, zero-mass and point-mass x included."""
+        rng = np.random.default_rng(41)
+        classes = (fv.UtilityClass.UNIT_SUM, fv.UtilityClass.APPROVAL,
+                   fv.UtilityClass.BALANCED)
+        for trial in range(60):
+            m, ballots = int(rng.integers(2, 10)), int(rng.integers(1, 16))
+            orders = [tuple(int(a) for a in rng.permutation(m)) for _ in range(ballots)]
+            p = fv.from_rankings(orders, m=m,
+                                 weights=[int(w) for w in rng.integers(1, 3, size=ballots)])
+            probs = rng.dirichlet(np.ones(m))
+            kind = trial % 4
+            if kind == 1:    # some alternatives without mass
+                probs[rng.random(m) < 0.5] = 0.0
+                if not probs.any():
+                    probs[int(rng.integers(0, m))] = 1.0
+                probs /= probs.sum()
+            elif kind == 2:  # a point mass
+                probs = np.eye(m)[int(rng.integers(0, m))]
+            elif kind == 3:  # no mass on any ballot's top: the infinite case
+                tops = {order[0] for order in orders}
+                probs[list(tops)] = 0.0
+                if not probs.any():
+                    probs = np.full(m, 1.0 / m)
+                probs /= probs.sum()
+            exact = random_exact_distribution(m, rng, digits=2 if trial % 2 else 9)
+            exact_probs = np.array(exact.probs, dtype=object)
+            exact_weights = np.array(p.weights, dtype=object)
+            for cls in classes:
+                args = (probs, p.weight_array(), p, cls, 1.0)
+                assert metrics._dinkelbach(*args) == parent_dinkelbach(*args)
+                args = (exact_probs, exact_weights, p, cls, F(1))
+                assert metrics._dinkelbach(*args) == parent_dinkelbach(*args)
 
     @pytest.mark.parametrize("text, probs", [
         ("3 3\n1 2 3\n2 1 3\n1 3 2\n", (0.0, 0.5, 0.5)),

@@ -5,8 +5,101 @@ import numpy as np
 import pytest
 
 import fairvote as fv
+from fairvote import metrics, optimize
 from fairvote.optimize import _PFObjective, _project_array, pf_bound, pf_region
+from fairvote.profiles import PreferenceProfile
 from fairvote.rules import TwoAltObjective, two_block_profile
+from test_metrics import parent_dinkelbach
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the earlier projection and PF objective, kept verbatim. They built
+# the prefix masses twice per iterate (once for the value, once for the
+# subgradient), the argmax mask on every step and the region's floor array on
+# every projection; the optimizers now do each once. Every iterate must stay
+# the same to the last bit.
+# ---------------------------------------------------------------------------
+
+def project_to_scaled_simplex(v: np.ndarray, total: float) -> np.ndarray:
+    """Project v onto {w >= 0, sum(w) = total} in Euclidean norm.
+
+    Standard sort-based algorithm: threshold tau is the largest value such
+    that sum(max(v - tau, 0)) = total.
+    """
+    if total < 0:
+        raise ValueError("simplex scale must be nonnegative")
+    v = np.asarray(v, dtype=np.float64)
+    if total == 0:
+        return np.zeros_like(v)
+    u = np.sort(v)[::-1]
+    cumulative = np.cumsum(u)
+    thresholds = (cumulative - total) / np.arange(1, v.size + 1)
+    k = np.nonzero(u > thresholds)[0][-1]
+    return np.maximum(v - thresholds[k], 0.0)
+
+
+def parent_project_array(v: np.ndarray, region: fv.FeasibleRegion) -> np.ndarray:
+    lb = np.asarray(region.lower_bounds)
+    slack = 1.0 - float(lb.sum())
+    if slack < 0:
+        slack = 0.0
+    w = project_to_scaled_simplex(v - lb, slack)
+    return lb + w
+
+
+def prefix_mass_matrix(x: np.ndarray, profile: PreferenceProfile) -> np.ndarray:
+    """(num_ballots, m) float array H with H[b, a] = x(h_b(a)): the running
+    sum of x down each ballot, gathered back to alternatives."""
+    return np.cumsum(x[profile.order_matrix()], axis=1).take(profile._rank_index)
+
+
+class ParentPFObjective:
+    def __init__(self, profile: PreferenceProfile):
+        self.profile = profile
+        self.n = float(profile.n)
+
+    def prefix_masses(self, x: np.ndarray) -> np.ndarray:
+        return prefix_mass_matrix(x, self.profile)
+
+    def payoffs(self, x: np.ndarray) -> np.ndarray:
+        H = self.prefix_masses(x)
+        return (self.profile.weight_array() @ (1.0 / H)) / self.n
+
+    def value_and_argmax(self, x: np.ndarray) -> tuple[float, int]:
+        p = self.payoffs(x)
+        a = int(np.argmax(p))  # lowest index on ties
+        return float(p[a]), a
+
+    def subgradient(self, x: np.ndarray, a_star: int) -> np.ndarray:
+        H = self.prefix_masses(x)
+        coeff = self.profile.weight_array() / (self.n * H[:, a_star] ** 2)
+        ranks = self.profile.rank_matrix()
+        return -(coeff @ (ranks <= ranks[:, a_star][:, None]))
+
+
+def parent_run(monkeypatch, solve, *args, **kwargs):
+    """`solve` with the earlier projection, PF objective and distortion kernel."""
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize, "_project_array", parent_project_array)
+        patch.setattr(optimize, "_PFObjective", ParentPFObjective)
+        patch.setattr(metrics, "_dinkelbach", parent_dinkelbach)
+        return solve(*args, **kwargs)
+
+
+def sample_profiles(rng, count):
+    """Seeded profiles with m 2-9 and n <= 30 (1-15 ballots of weight 1-2)."""
+    for _ in range(count):
+        m, ballots = int(rng.integers(2, 10)), int(rng.integers(1, 16))
+        orders = [tuple(int(a) for a in rng.permutation(m)) for _ in range(ballots)]
+        yield fv.from_rankings(orders, m=m,
+                               weights=[int(w) for w in rng.integers(1, 3, size=ballots)])
+
+
+def assert_same_result(result, oracle):
+    assert result.distribution.probs == oracle.distribution.probs
+    assert result.value == oracle.value
+    assert result.iterations == oracle.iterations
+    assert result.certified == oracle.certified
 
 
 class TestProjection:
@@ -201,3 +294,54 @@ class TestOptimizeDistortion:
             assert result.value <= grid_best + 1e-9
             direct = float(fv.distortion(result.distribution, triad, cls).value)
             assert result.value == pytest.approx(direct, rel=1e-12)
+
+
+class TestSameIteratesAsBefore:
+    """The optimizers against their earlier projection, PF objective and
+    distortion kernel: every result field equal to the last bit."""
+
+    def test_optimize_pf(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        for i, p in enumerate(sample_profiles(rng, 30)):
+            epsilon = (1e-3, 0.05, 5.0)[i % 3]
+            max_iters = 2_300 if i < 3 else 80  # two of the first three reach phase B
+            result = fv.optimize_pf(p, epsilon, max_iters=max_iters)
+            assert_same_result(result, parent_run(monkeypatch, fv.optimize_pf, p, epsilon,
+                                                  max_iters=max_iters))
+
+    def test_optimize_distortion(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        classes = (fv.UtilityClass.UNIT_SUM, fv.UtilityClass.APPROVAL,
+                   fv.UtilityClass.BALANCED)
+        for i, p in enumerate(sample_profiles(rng, 24)):
+            cls, epsilon = classes[i % 3], (1e-3, 0.05, 5.0)[i // 3 % 3]
+            guard = 0.1 if i % 2 else 1e-3
+            result = fv.optimize_distortion(p, cls, epsilon, guard=guard, max_iters=15)
+            assert_same_result(result, parent_run(monkeypatch, fv.optimize_distortion, p, cls,
+                                                  epsilon, guard=guard, max_iters=15))
+        p = fv.from_rankings([(0, 1), (1, 0), (0, 1)])  # phase B, with its restarts
+        for cls in classes:
+            result = fv.optimize_distortion(p, cls, 1e-4, max_iters=2_150)
+            assert_same_result(result, parent_run(monkeypatch, fv.optimize_distortion, p, cls,
+                                                  1e-4, max_iters=2_150))
+
+
+class TestBudgetValidation:
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+    def test_bad_epsilon(self, triad, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            fv.optimize_pf(triad, epsilon)
+        with pytest.raises(ValueError, match="epsilon"):
+            fv.optimize_distortion(triad, fv.UtilityClass.UNIT_SUM, epsilon)
+
+    def test_negative_max_iters(self, triad):
+        with pytest.raises(ValueError, match="max_iters"):
+            fv.optimize_pf(triad, 1e-3, max_iters=-3)
+        with pytest.raises(ValueError, match="max_iters"):
+            fv.optimize_distortion(triad, fv.UtilityClass.UNIT_SUM, 1e-3, max_iters=-1)
+
+    def test_zero_max_iters_returns_the_start(self, triad):
+        result = fv.optimize_pf(triad, 1e-3, max_iters=0)
+        assert result.iterations == 0
+        start = _project_array(np.asarray(triad.top_fractions()), pf_region(triad))
+        assert result.distribution.probs == tuple(start.tolist())
