@@ -44,8 +44,8 @@ _NO_EXACT_MODE = {("rule", "slr"), ("rule", "scr"), ("rule", "two-alt"),
 
 def _load_profile(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read profile {path!r}: {exc}") from None
     try:
         return parse_profile(text)
@@ -66,7 +66,7 @@ def _parse_number(token, exact: bool):
 
 def _read_json(path: str, what: str):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read {what} {path!r}: {exc}") from None
 

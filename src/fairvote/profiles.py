@@ -306,41 +306,87 @@ def parse_profile(text: str) -> PreferenceProfile:
 
     First content line is "n m"; each following line is either
     "r1 r2 ... rm" or "k: r1 ... rm" (multiplicity k), alternatives listed
-    best-to-worst, 1-indexed. Lines starting with '#' are comments.
+    best-to-worst, 1-indexed, separated by blanks. Lines starting with '#'
+    are comments.
     """
-    lines = text.splitlines()
     header: Optional[tuple[int, int]] = None
-    rows: list[list[int]] = []
     linenos: list[int] = []
+    heads: list[str] = []  # multiplicity texts, "1" on a line without "k:"
+    bodies: list[str] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is not None:
+            head, colon, body = line.partition(":")
+            linenos.append(lineno)
+            heads.append(head if colon else "1")
+            bodies.append(body if colon else line)
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ProfileFormatError(f"expected header 'n m', got {line!r}", lineno)
+        try:
+            n, m = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ProfileFormatError(f"non-integer header {line!r}", lineno) from None
+        if n < 1 or m < 1:
+            raise ProfileFormatError(f"need n >= 1 and m >= 1, got n={n} m={m}", lineno)
+        header = (n, m)
+    if header is None:
+        raise ProfileFormatError("empty profile", 1)
+    n, m = header
+    if not bodies:
+        raise ProfileFormatError("header present but no ballots", 1)
+    profile = _parse_plain(heads, bodies, m) or _parse_lines(linenos, heads, bodies, m)
+    if profile.n != n:
+        raise ProfileFormatError(f"header says n={n} but ballots carry total weight {profile.n}", 1)
+    return profile
+
+
+# Fewer entries than this read faster line by line: the C pass makes more numpy
+# calls, which are slow on the cold caches a solver leaves between CLI calls.
+_PLAIN_MIN_ENTRIES = 100
+
+
+def _parse_plain(heads: list[str], bodies: list[str], m: int) -> Optional[PreferenceProfile]:
+    """The profile of these ballot lines, their entries read by one np.fromstring
+    pass; None on fewer than _PLAIN_MIN_ENTRIES entries or unless that pass is
+    sure to read every entry as int() does, and the line loop then reads them."""
+    if len(bodies) * m < _PLAIN_MIN_ENTRIES:
+        return None
+    plain = "\n".join(bodies).encode("ascii", "replace")
+    digits = plain.translate(None, b" \t\n")
+    if not digits.isdigit():
+        return None  # a character other than an ASCII digit or blank
+    # " -1" ends each row, so a body of more or fewer than m entries leaves
+    # a count that does not reshape, or moves a -1 into the ballots: both raise
+    values = np.fromstring(plain.replace(b"\n", b" -1\n") + b" -1", dtype=np.int64, sep=" ")
+    try:
+        profile = PreferenceProfile(m=m, orders=values.reshape(-1, m + 1)[:, :m] - 1,
+                                    weights=tuple(map(int, heads)))
+    except ValueError:
+        return None
+    # The rows are permutations of 1..m, so their entries have exactly the digits
+    # of "1".."m" unless one has a leading zero or overflowed int64 (19 digits or
+    # more, which numpy 2.4 clamps to 2**63 - 1 and another numpy may wrap).
+    return profile if len(digits) == len(bodies) * len("".join(map(str, range(1, m + 1)))) else None
+
+
+def _parse_lines(linenos: list[int], heads: list[str], bodies: list[str], m: int
+                 ) -> PreferenceProfile:
+    """The profile of these ballot lines read line by line with int(): the
+    definition of the format, raising ProfileFormatError at the first bad line."""
+    rows: list[list[int]] = []
     weights: list[int] = []
     try:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ProfileFormatError(f"expected header 'n m', got {line!r}", lineno)
-                try:
-                    n, m = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise ProfileFormatError(f"non-integer header {line!r}", lineno) from None
-                if n < 1 or m < 1:
-                    raise ProfileFormatError(f"need n >= 1 and m >= 1, got n={n} m={m}",
-                                             lineno)
-                header = (n, m)
-                continue
-            head, body = _split_ballot(line)
-            mult = 1
-            if head is not None:
-                try:
-                    mult = int(head)
-                except ValueError:
-                    raise ProfileFormatError(f"bad multiplicity {head!r}", lineno) from None
-                if mult < 1:
-                    raise ProfileFormatError(f"multiplicity must be positive, got {mult}",
-                                             lineno)
+        for lineno, head, body in zip(linenos, heads, bodies):
+            try:
+                mult = int(head)
+            except ValueError:
+                raise ProfileFormatError(f"bad multiplicity {head.strip()!r}", lineno) from None
+            if mult < 1:
+                raise ProfileFormatError(f"multiplicity must be positive, got {mult}", lineno)
             try:
                 ranks = list(map(int, body.split()))
             except ValueError:
@@ -350,37 +396,15 @@ def parse_profile(text: str) -> PreferenceProfile:
                 raise ProfileFormatError(f"ballot has {len(ranks)} entries, expected {m}",
                                          lineno)
             rows.append(ranks)
-            linenos.append(lineno)
             weights.append(mult)
-    except ProfileFormatError:
+        return PreferenceProfile(m=m, orders=np.array(rows) - 1, weights=tuple(weights))
+    except ValueError:  # a bad line, or a ballot that is not a permutation
         # a bad ballot on an earlier line is the first error
-        _check_ballots(rows, linenos, lines)
+        _check_ballots(rows, linenos, bodies)
         raise
-    if header is None:
-        raise ProfileFormatError("empty profile", 1)
-    n, m = header
-    if not rows:
-        raise ProfileFormatError("header present but no ballots", 1)
-    try:
-        profile = PreferenceProfile(m=m, orders=np.array(rows) - 1, weights=tuple(weights))
-    except ValueError:  # a ballot that is not a permutation: find its line
-        _check_ballots(rows, linenos, lines)
-        raise
-    total = sum(weights)
-    if total != n:
-        raise ProfileFormatError(f"header says n={n} but ballots carry total weight {total}", 1)
-    return profile
 
 
-def _split_ballot(line: str) -> tuple[Optional[str], str]:
-    """A stripped ballot line as (multiplicity text or None, ballot body)."""
-    if ":" not in line:
-        return None, line
-    head, body = line.split(":", 1)
-    return head.strip(), body
-
-
-def _check_ballots(rows: list[list[int]], linenos: list[int], lines: list[str]) -> None:
+def _check_ballots(rows: list[list[int]], linenos: list[int], bodies: list[str]) -> None:
     """Raise ProfileFormatError at the first line whose parsed 1-based ballot
     (rows of one length m) is not a permutation."""
     ballots = np.array(rows)  # int64, or float64/object when an entry is huge
@@ -392,8 +416,7 @@ def _check_ballots(rows: list[list[int]], linenos: list[int], lines: list[str]) 
     if out_of_range:
         raise ProfileFormatError(f"alternative {out_of_range[0]} out of range 1..{m}",
                                  linenos[bad])
-    body = _split_ballot(lines[linenos[bad] - 1].strip())[1]
-    raise ProfileFormatError(f"ballot {body.strip()!r} is not a permutation", linenos[bad])
+    raise ProfileFormatError(f"ballot {bodies[bad].strip()!r} is not a permutation", linenos[bad])
 
 
 def serialize_profile(profile: PreferenceProfile) -> str:

@@ -269,6 +269,24 @@ class TestCLIBehaviour:
         code, _, err = invoke(capsys, "rule", "harmonic", str(bad))
         assert code == 1 and "line 2" in err
 
+    def test_byte_order_marks_are_skipped(self, capsys, tmp_path, triad_file, x_file, u_file):
+        # a UTF-8 byte-order mark before the profile, distribution or utility text
+        paths = []
+        for name, source in (("p.soc", triad_file), ("x.json", x_file), ("u.json", u_file)):
+            path = tmp_path / f"bom-{name}"
+            path.write_bytes(b"\xef\xbb\xbf" + Path(source).read_bytes())
+            paths.append(str(path))
+        _, expected, _ = invoke(capsys, "eval", "sw", triad_file, x_file, "--utils", u_file)
+        code, out, err = invoke(capsys, "eval", "sw", *paths[:2], "--utils", paths[2])
+        assert (code, out, err) == (0, expected, "")
+
+    def test_profile_that_is_not_utf8_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "utf16.soc"
+        path.write_bytes("3 3\n1 2 3\n".encode("utf-16"))  # starts with ff fe
+        code, out, err = invoke(capsys, "rule", "harmonic", str(path))
+        assert code == 1 and out == ""
+        assert f"cannot read profile {str(path)!r}: 'utf-8' codec can't decode" in err
+
     def test_unknown_flag_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["rule", "harmonic", "--bogus"])

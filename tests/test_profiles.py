@@ -343,3 +343,79 @@ def test_constructor_accepts_exactly_the_permutations(case):
 def test_constructor_rejects_ballots_that_are_not_m_integers(orders):
     with pytest.raises(ValueError):
         fv.PreferenceProfile(m=2, orders=orders, weights=(1,) * len(orders))
+
+
+# Entries np.fromstring may read otherwise than int() does: padded or
+# overflowing digit runs (2**64 - 1 and 2**64 + 1 wrap to -1 and 1 in a
+# wrapping int64), signs, underscores, non-ASCII digits and a lone surrogate.
+EDGE_TOKENS = ("0" * 17 + "1", "9" * 18, "9" * 19, "9" * 20, str(2 ** 63), str(2 ** 64 - 1),
+               str(2 ** 64 + 1), "+2", "1_0", "٣", "-1", "007", "\ud800")
+
+
+def wrapping_fromstring(text, dtype, sep):
+    """np.fromstring as a numpy that wraps int64 overflow would read `text`."""
+    return np.array([(int(t) + 2 ** 63) % 2 ** 64 - 2 ** 63 for t in text.split()], dtype=dtype)
+
+
+@st.composite
+def plain_profile_texts(draw):
+    """Profile texts at the edges of plain text: m up to 60, entries padded to
+    17-20 digits or replaced by an edge token, blanks that are tabs, runs or
+    a no-break space, CRLF line ends, trailing blanks, "k :" and ": 1 2"
+    multiplicities, plain and "k:" lines mixed, comments between ballots, and
+    an entry moved to the next ballot (which keeps the entry count B * m)."""
+    m = draw(st.integers(1, 60))
+    ballots = [[str(a + 1) for a in draw(st.permutations(range(m)))]
+               for _ in range(draw(st.integers(1, 5)))]
+    for ballot in ballots:
+        if draw(st.integers(0, 3)) == 0:
+            i = draw(st.integers(0, m - 1))
+            ballot[i] = draw(st.sampled_from(EDGE_TOKENS + tuple(
+                ballot[i].zfill(width) for width in (17, 18, 19, 20))))
+    if len(ballots) > 1 and draw(st.integers(0, 3)) == 0:
+        j = draw(st.integers(0, len(ballots) - 2))
+        ballots[j + 1].insert(0, ballots[j].pop())
+    lines, total = [], 0
+    for ballot in ballots:
+        blanks = draw(st.lists(st.sampled_from([" "] * 6 + ["  ", "\t", " \t", "\xa0"]),
+                               min_size=len(ballot), max_size=len(ballot)))
+        body = "".join(b + t for b, t in zip(blanks, ballot)) + draw(
+            st.sampled_from(["", "", " ", "\t "]))
+        mult = draw(st.sampled_from([None] * 4 + ["1", "2", "13", "2 ", "", "+2", "٣"]))
+        lines.append(body.lstrip() if mult is None else f"{mult}:{body}")
+        total += 1 if mult is None or not mult.strip().isdigit() else int(mult)
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(["# comment", "", " \t", "#1 2"])))
+    n = draw(st.sampled_from([total] * 8 + [total + 1]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join([f"{n} {m}"] + lines) + draw(st.sampled_from(["", end]))
+
+
+@given(plain_profile_texts(), st.booleans())
+@settings(max_examples=400, deadline=None)
+@example("2 3\n1 2 3 1\n2 3\n", False)            # one entry too many, then one too few
+@example("1 3\n1 2 " + "0" * 18 + "3\n", False)    # a 19-digit entry of value 3
+@example("1 2\n2 " + str(2 ** 64 + 1) + "\n", True)  # 1 in a wrapping int64
+@example("2 2\n1 2\n" + str(2 ** 64 - 1) + " 2 1\n", True)
+def test_plain_parse_matches_reference(text, wrap):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fv.profiles, "_PLAIN_MIN_ENTRIES", 0)
+        if wrap:
+            patch.setattr(np, "fromstring", wrapping_fromstring)
+        assert parse_outcome(fv.parse_profile, text) == parse_outcome(reference_parse_profile,
+                                                                      text)
+
+
+def test_plain_text_is_read_by_the_c_pass(monkeypatch):
+    def line_loop(*args):
+        raise AssertionError("the line loop ran")
+
+    monkeypatch.setattr(fv.profiles, "_parse_lines", line_loop)
+    rng = np.random.default_rng(7)  # a weighted profile of the `evaluate` workload's size
+    weights = rng.integers(1, 20, size=200)
+    text = f"{weights.sum()} 49\n" + "".join(
+        f"{w}: " + " ".join(map(str, rng.permutation(49) + 1)) + "\n" for w in weights.tolist())
+    assert parse_outcome(fv.parse_profile, text) == parse_outcome(reference_parse_profile, text)
+    monkeypatch.setattr(fv.profiles, "_PLAIN_MIN_ENTRIES", 0)  # and on few entries too
+    text = "3 3\n1 2 3\n2 1 3\n# mid\n1\t3 2\r\n"
+    assert parse_outcome(fv.parse_profile, text) == parse_outcome(reference_parse_profile, text)
