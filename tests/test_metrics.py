@@ -748,6 +748,132 @@ class TestCoreCheck:
         assert not fv.core_check(fv.Distribution.uniform(3), top_approvals, 1.0).violated
         assert calls
 
+
+def core_coalition_matrices(rng, instances: int):
+    """Every coalition's payoff matrix M, built as core_check builds it, on
+    random unit-sum, unit-range and approval instances (n, m in [2, 6] x
+    [2, 5]); alpha is 0 on every tenth instance, else in [0.5, 1.5]."""
+    classes = (fv.UtilityClass.UNIT_SUM, fv.UtilityClass.UNIT_RANGE,
+               fv.UtilityClass.APPROVAL)
+    for trial in range(instances):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+        p = fv.random_profile(n, m, rng)
+        u = fv.random_consistent_utilities(p, classes[trial % 3], rng)
+        if trial % 4 == 0:  # a uniform lottery over some alternatives
+            support = rng.permutation(m)[:int(rng.integers(1, m + 1))]
+            x = fv.Distribution(tuple(1.0 / len(support) if a in support else 0.0
+                                      for a in range(m)))
+        else:
+            x = fv.Distribution(tuple(rng.dirichlet(np.ones(m))))
+        alpha = 0.0 if trial % 10 == 0 else float(rng.uniform(0.5, 1.5))
+        U = u.as_array()
+        c = np.array([float(e) for e in u.expected(x)])
+        block_w = np.asarray(u.weights, dtype=np.float64)
+        for mask in range(1, 1 << u.num_ballots):
+            members = [b for b in range(u.num_ballots) if mask >> b & 1]
+            W = float(block_w[members].sum())
+            yield (W / float(u.n)) * U[members] - alpha * c[members][:, None]
+
+
+def scipy_core_lp(M: np.ndarray):
+    """The coalition LP through scipy's public linprog front end."""
+    from scipy.optimize import linprog
+
+    k, m = M.shape
+    return linprog(c=-(M.sum(0)), A_ub=-M, b_ub=np.zeros(k), A_eq=np.ones((1, m)),
+                   b_eq=[1.0], bounds=(0.0, 1.0), method="highs")
+
+
+def highs_options_with(**settings):
+    """A fresh copy of metrics' HiGHS options with some settings changed."""
+    options = metrics._highs_options.__wrapped__()
+    for name, value in settings.items():
+        setattr(options, name, value)
+    return options
+
+
+class TestCoreLP:
+    """`metrics.linprog` calls HiGHS directly; scipy's `linprog` is the reference."""
+
+    def test_matches_scipy_linprog(self):
+        # same status and the same vertex, bit for bit; this also catches
+        # drift in scipy's private HiGHS module or in linprog's defaults
+        rng = np.random.default_rng(27)
+        matrices = list(core_coalition_matrices(rng, 100))
+        for _ in range(200):  # larger ones, with exact zeros
+            k, m = int(rng.integers(1, 13)), int(rng.integers(2, 50))
+            M = rng.uniform(-1.0, 1.0, (k, m)) * (rng.random((k, m)) < 0.7)
+            matrices.append(M - float(rng.uniform(0.0, 0.6)) * (rng.random((k, 1)) < 0.5))
+        statuses = []
+        for M in matrices:
+            new, ref = metrics.linprog(M), scipy_core_lp(M)
+            assert new.status == ref.status and new.success == ref.success
+            if ref.x is None:
+                assert new.x is None
+            else:
+                assert new.x.tobytes() == ref.x.tobytes()
+            statuses.append(new.status)
+        assert len(matrices) >= 2200
+        assert 0.1 < np.mean(np.equal(statuses, 2)) < 0.9
+        assert set(statuses) == {0, 2}
+
+    def test_non_finite_matrix_is_refused(self, monkeypatch):
+        def unreachable():
+            raise AssertionError("HiGHS was called")
+
+        monkeypatch.setattr(metrics, "_highs_options", unreachable)
+        for bad in (math.nan, math.inf, -math.inf):
+            M = np.array([[0.5, -0.2, 0.1], [0.1, bad, -0.3]])
+            res = metrics.linprog(M)
+            assert (res.status, res.success, res.x) == (4, False, None)
+            assert "not finite" in res.message
+
+    def test_limit_status_is_a_failure(self, monkeypatch):
+        M = np.array([[0.5, -0.2, 0.1], [-0.1, 0.4, -0.3]])
+        options = highs_options_with(presolve="off", simplex_iteration_limit=0)
+        monkeypatch.setattr(metrics, "_highs_options", lambda: options)
+        res = metrics.linprog(M)
+        assert (res.status, res.success, res.x) == (1, False, None)
+        assert res.message == "Iteration limit reached"
+
+    def test_model_error_is_not_infeasible(self, monkeypatch):
+        # scipy's front end reads kModelError as status 2, "infeasible"; here
+        # it is a failure, so core_check cannot take it for "no deviation"
+        options = highs_options_with(simplex_strategy=99)
+        monkeypatch.setattr(metrics, "_highs_options", lambda: options)
+        res = metrics.linprog(np.array([[0.5, -0.2, 0.1]]))
+        assert (res.status, res.success, res.x) == (4, False, None)
+        assert res.message == "Model error"
+        u = fv.UtilityProfile(utils=((1, 0, 0), (0, 1, 0), (1, 0, 0)),
+                              class_tag=fv.UtilityClass.APPROVAL, weights=(1, 1, 1))
+        with pytest.raises(fv.CertificationError, match="status 4.*Model error"):
+            fv.core_check(fv.Distribution.uniform(3), u, 1.0)
+
+    @pytest.mark.parametrize("drift", ["x_negative", "x_nan", "row_violated", "sum_off"])
+    def test_post_solve_check(self, drift, monkeypatch):
+        from scipy.optimize._highspy import _core as highs
+
+        class Drifting(highs._Highs):
+            def getSolution(self):
+                solution = super().getSolution()
+                x, row = list(solution.col_value), list(solution.row_value)
+                if drift == "x_negative":
+                    x[0] = -1e-3
+                elif drift == "x_nan":
+                    x[0] = math.nan
+                elif drift == "row_violated":
+                    row[0] = 1e-3
+                else:
+                    row[-1] += 1e-3
+                return SimpleNamespace(col_value=x, row_value=row)
+
+        M = np.array([[0.5, -0.2, 0.1], [-0.1, 0.4, -0.3]])
+        assert metrics.linprog(M).success
+        monkeypatch.setattr(highs, "_Highs", Drifting)
+        res = metrics.linprog(M)
+        assert (res.status, res.success, res.x) == (4, False, None)
+        assert "misses the constraints" in res.message
+
 class TestCrossMetricLinks:
     def test_prop_nash_below_pf(self):
         rng = np.random.default_rng(24)
