@@ -196,8 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
         dest="opt_name", required=True)
     p = op.add_parser("pf")
     p.add_argument("profile")
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--max-iters", type=int, default=1_000_000)
+    p.add_argument("--eps", type=float, default=1e-3,
+                   help="proven gap to the optimum that makes the result certified")
+    p.add_argument("--max-iters", type=int, default=1_000_000,
+                   help="cap on the barrier method's Newton steps")
     p = op.add_parser("distortion")
     p.add_argument("profile")
     p.add_argument("--class", dest="utility_class", required=True,

@@ -478,10 +478,10 @@ class TestExitCodes:
     def test_optimizer_bound_failure_exits_two(self, capsys, triad_file, monkeypatch):
         from fairvote import optimize
 
-        def stalled(value_and_argmax, subgradient, region, x0, *args, **kwargs):
-            return x0, 1e9, 10, False  # a value far above the guaranteed bound
+        def stalled(obj, region, x0, *args, **kwargs):
+            return x0, 1e9, 10, False, None  # a value far above the guaranteed bound
 
-        monkeypatch.setattr(optimize, "_subgradient_minimize", stalled)
+        monkeypatch.setattr(optimize, "_barrier_minimize", stalled)
         code, out, err = invoke(capsys, "opt", "pf", triad_file, "--max-iters", "10")
         assert code == 2 and out == ""
         assert "certification failure" in err and "Traceback" not in err

@@ -296,18 +296,63 @@ class TestOptimizeDistortion:
             assert result.value == pytest.approx(direct, rel=1e-12)
 
 
-class TestSameIteratesAsBefore:
-    """The optimizers against their earlier projection, PF objective and
-    distortion kernel: every result field equal to the last bit."""
+class TestPFCertificate:
+    """The barrier solver against the earlier subgradient loop, run as the
+    oracle at a tight tolerance: its lower bound must hold and a certified
+    value must lie within epsilon of the oracle's."""
 
-    def test_optimize_pf(self, monkeypatch):
+    def test_against_subgradient_oracle(self, monkeypatch):
         rng = np.random.default_rng(43)
         for i, p in enumerate(sample_profiles(rng, 30)):
             epsilon = (1e-3, 0.05, 5.0)[i % 3]
-            max_iters = 2_300 if i < 3 else 80  # two of the first three reach phase B
-            result = fv.optimize_pf(p, epsilon, max_iters=max_iters)
-            assert_same_result(result, parent_run(monkeypatch, fv.optimize_pf, p, epsilon,
-                                                  max_iters=max_iters))
+            result = fv.optimize_pf(p, epsilon)
+            region = pf_region(p)
+            obj = ParentPFObjective(p)
+            x0 = parent_project_array(np.asarray(p.top_fractions()), region)
+            _, oracle, _, _ = parent_run(monkeypatch, optimize._subgradient_minimize,
+                                         obj.value_and_argmax, obj.subgradient, region, x0,
+                                         1e-6, 20_000)
+            assert result.lower_bound <= oracle
+            if result.certified:
+                assert result.value <= oracle + epsilon
+            direct = float(fv.pf_distortion(result.distribution, p).value)
+            assert result.value == pytest.approx(direct, rel=1e-12)
+
+    def test_lower_bound_below_grid_minimum(self):
+        rng = np.random.default_rng(30)
+        for _ in range(5):
+            p = fv.random_profile(int(rng.integers(2, 5)), 3, rng)
+            obj = _PFObjective(p)
+            best = math.inf
+            for i in range(51):
+                for j in range(51 - i):
+                    cand = np.array([i, j, 50 - i - j]) / 50
+                    if obj.prefix_masses(cand).min() > 0:
+                        best = min(best, float(obj.payoffs(cand).max()))
+            assert fv.optimize_pf(p, 1e-3).lower_bound <= best
+
+    def test_ends_promptly_when_epsilon_is_unreachable(self):
+        rng = np.random.default_rng(21)
+        p = fv.random_profile(20, 6, rng)
+        result = fv.optimize_pf(p, 1e-12)
+        assert result.iterations <= 1_000
+        assert math.isfinite(result.value)
+        assert all(x >= b for x, b in zip(result.distribution.probs,
+                                          pf_region(p).lower_bounds))
+        assert result.value <= fv.optimize_pf(p, 1e-3).value
+        # a stage that fails to shrink its proven gap ends the solve
+        assert result.iterations <= 1.5 * fv.optimize_pf(p, 1e-6).iterations
+
+    def test_floor_snap(self, triad):
+        # the optimum (2 - sqrt 2, sqrt 2 - 1, 0) puts a3 on its floor, which
+        # the barrier's iterates only approach
+        result = fv.optimize_pf(triad, 1e-3)
+        assert result.distribution.probs[2] == pf_region(triad).lower_bounds[2] == 0.0
+
+
+class TestSameIteratesAsBefore:
+    """The distortion optimizer against its earlier projection and
+    distortion kernel: every result field equal to the last bit."""
 
     def test_optimize_distortion(self, monkeypatch):
         rng = np.random.default_rng(44)
