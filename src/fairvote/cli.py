@@ -132,7 +132,9 @@ def _report_json(report: metrics.DistortionReport) -> dict:
            "witness_alternative": None if report.witness_alternative is None
            else report.witness_alternative + 1,
            "class": report.utility_class.value}
-    if report.witness_utilities is not None:
+    if report.vertex_witness is not None:  # rendered from its arrays
+        out["witness_utilities"] = report.vertex_witness
+    elif report.witness_utilities is not None:
         out["witness_utilities"] = [list(r) for r in report.witness_utilities.utils]
     if report.witness_deviation is not None:
         out["witness_deviation"] = _dist_json(report.witness_deviation)

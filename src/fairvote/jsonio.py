@@ -1,13 +1,16 @@
 """Deterministic JSON rendering: fixed key order (insertion order); a float
 with an integral value below 1e15 in magnitude as "N.0", any other finite
 float at 12 significant digits, infinities as the strings "inf" and "-inf";
-exact rationals as "p/q" strings. NaN raises ValueError."""
+exact rationals as "p/q" strings. NaN raises ValueError. An object with a
+`json_table()` method renders as the array of rows that method describes."""
 
 from __future__ import annotations
 
 import json
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def _render_float(value: float) -> str:
@@ -53,10 +56,26 @@ def _render_other(value, floats: dict) -> str:
         return _render(dict(value), floats)
     if isinstance(value, (list, tuple)):
         return _render(list(value), floats)
+    if hasattr(value, "json_table"):
+        return _render_table(*value.json_table(), floats)
     # numpy scalars and the like
     if hasattr(value, "item"):
         return _render(value.item(), floats)
     raise TypeError(f"cannot render {type(value)!r}")
+
+
+def _render_table(entries: list, codes: np.ndarray, floats: dict) -> str:
+    """The JSON array of rows whose entry [b][a] is entries[codes[b, a]], as
+    the nested list renders: each distinct entry is rendered once, in four
+    forms (alone, opening a row, closing one, or both), and one gather and
+    one join place them."""
+    texts = [_render(entry, floats) for entry in entries]
+    table = np.array(texts + ["[" + t for t in texts] + [t + "]" for t in texts]
+                     + ["[" + t + "]" for t in texts], dtype=object)
+    forms = codes.copy()
+    forms[:, 0] += len(texts)
+    forms[:, -1] += 2 * len(texts)
+    return "[" + ", ".join(table.take(forms).ravel().tolist()) + "]"
 
 
 def render_value(value) -> str:

@@ -51,17 +51,81 @@ class OracleScaleError(ValueError):
     """An exact oracle was asked to enumerate beyond its combinatorial budget."""
 
 
+@dataclass(frozen=True, eq=False)
+class VertexWitness:
+    """A vertex utility profile as per-ballot arrays: ballot b values its top
+    depth[b] alternatives at 1/depth[b] when uniform[b], else at 1, and the
+    rest at 0, in Fraction when `exact` (as `prefix_utility_row` does).
+    `utilities` builds the rows on first read; `as_array` and `json_table`
+    work from the arrays alone."""
+
+    profile: PreferenceProfile
+    depth: np.ndarray      # (B,) int, 1..m
+    uniform: np.ndarray    # (B,) bool
+    utility_class: UtilityClass
+    exact: bool
+
+    @functools.cached_property
+    def utilities(self) -> UtilityProfile:
+        return _witness_from_combo(self.profile, zip(self.depth.tolist(), self.uniform.tolist()),
+                                   self.utility_class, self.exact)
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(scale, approve): ballot b's nonzero entry is 1/scale[b], and
+        approve[b, a] says whether alternative a gets it."""
+        return (np.where(self.uniform, self.depth, 1),
+                self.profile.rank_matrix() <= self.depth[:, None])
+
+    def as_array(self) -> np.ndarray:
+        """The float64 matrix of `utilities.as_array()`, entry for entry."""
+        scale, approve = self._rows()
+        return np.where(approve, (1.0 / scale)[:, None], 0.0)
+
+    def json_table(self) -> tuple[list, np.ndarray]:
+        """(entries, codes): the distinct entries of the rows, zero first, and
+        the (B, m) int array whose [b, a] indexes entry [b][a] among them."""
+        scale, approve = self._rows()
+        used, inverse = np.unique(scale, return_inverse=True)
+        if self.exact:
+            entries = [Fraction(0)] + [Fraction(1, s) for s in used.tolist()]
+        else:
+            entries = [0.0] + [1.0 / s for s in used.tolist()]
+        return entries, np.where(approve, inverse[:, None] + 1, 0)
+
+
+class _WitnessField:
+    """`DistortionReport.witness_utilities`. Given a VertexWitness, the field
+    reads as that witness's UtilityProfile, built on the first read; equality,
+    hashing and repr read the field, so they see the same profile as when one
+    is given."""
+
+    def __get__(self, report, owner=None):
+        if report is None:  # read as the class attribute: the field has no default
+            raise AttributeError("witness_utilities")
+        value = report.__dict__["witness_utilities"]
+        return value.utilities if isinstance(value, VertexWitness) else value
+
+    def __set__(self, report, value):
+        report.__dict__["witness_utilities"] = value
+
+
 @dataclass(frozen=True)
 class DistortionReport:
     value: Number
     utility_class: UtilityClass
     witness_alternative: Optional[int]
-    witness_utilities: Optional[UtilityProfile]
+    witness_utilities: Optional[UtilityProfile] = _WitnessField()  # or a VertexWitness
     witness_deviation: Optional[Distribution] = None
 
     @property
     def infinite(self) -> bool:
         return self.value == math.inf
+
+    @property
+    def vertex_witness(self) -> Optional[VertexWitness]:
+        """The witness as per-ballot arrays, when the report was given one."""
+        value = self.__dict__["witness_utilities"]
+        return value if isinstance(value, VertexWitness) else None
 
 
 @dataclass(frozen=True)
@@ -237,10 +301,12 @@ def distortion(x: Distribution, profile: PreferenceProfile, cls: UtilityClass) -
     exact = x.exact
     entry = _distortion_at_exact if exact else _distortion_float
     value, a_star, combo = entry(x, profile, cls)
-    witness = _witness_from_combo(profile, combo, cls, exact=exact)
+    pairs = np.array(combo, dtype=np.int64)  # per-ballot (depth, uniform)
+    witness = VertexWitness(profile, pairs[:, 0], pairs[:, 1].astype(bool), cls, exact)
     if exact and value != math.inf:
-        s = social_welfare(x, witness)
-        value = math.inf if s == 0 else _witness_ratio(witness, a_star, s)
+        u = witness.utilities
+        s = social_welfare(x, u)
+        value = math.inf if s == 0 else _witness_ratio(u, a_star, s)
     return DistortionReport(value, cls, a_star, witness)
 
 
@@ -336,11 +402,9 @@ def pf_distortion(x: Distribution, profile: PreferenceProfile) -> DistortionRepo
     profile that saturates each agent's bound at the argmax alternative."""
     payoffs = pf_payoffs(x, profile)
     a_star = payoffs.index(max(payoffs))  # lowest index on ties
-    exact = x.exact
-    rows = tuple(prefix_utility_row(order, order.index(a_star) + 1, profile.m, exact=exact)
-                 for order in profile.orders)
-    witness = UtilityProfile(utils=rows, class_tag=UtilityClass.APPROVAL,
-                             weights=profile.weights)
+    witness = VertexWitness(profile, profile.rank_matrix()[:, a_star],
+                            np.zeros(profile.num_ballots, dtype=bool),
+                            UtilityClass.APPROVAL, x.exact)
     return DistortionReport(payoffs[a_star], UtilityClass.ALL, a_star, witness)
 
 

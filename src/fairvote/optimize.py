@@ -394,7 +394,7 @@ def optimize_distortion(profile: PreferenceProfile, cls: UtilityClass, epsilon: 
         return float(report.value), report
 
     def subgrad(x_arr: np.ndarray, report: DistortionReport) -> np.ndarray:
-        swvec = weights @ report.witness_utilities.as_array()
+        swvec = weights @ report.vertex_witness.as_array()
         sw_x = float(swvec @ x_arr)
         return -(float(report.value) / sw_x) * swvec
 

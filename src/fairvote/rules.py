@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+import numpy as np
+
 from .profiles import Distribution, Number, PreferenceProfile, SUM_TOLERANCE, _is_exact
 
 
@@ -125,14 +127,9 @@ class SupportingSizeWeights:
 
 def pairwise_tallies(profile: PreferenceProfile) -> list[list[int]]:
     """V[a][b] = number of agents preferring a to b (weight-aware)."""
-    m = profile.m
-    tallies = [[0] * m for _ in range(m)]
-    for order, w in zip(profile.orders, profile.weights):
-        for i, a in enumerate(order):
-            row = tallies[a]
-            for b in order[i + 1:]:
-                row[b] += w
-    return tallies
+    ranks = profile.rank_matrix()
+    w = np.array(profile.weights, dtype=object)  # exact Python-int sums
+    return [(w @ (ranks[:, [a]] < ranks)).tolist() for a in range(profile.m)]
 
 
 def supporting_size_rule(profile: PreferenceProfile, weights: SupportingSizeWeights) -> Distribution:

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 
 import fairvote as fv
 from conftest import TRIAD_TEXT
+from fairvote import metrics
 from fairvote.cli import run
+from fairvote.profiles import UtilityClass, UtilityProfile
 
 
 @pytest.fixture()
@@ -557,3 +561,191 @@ def test_cli_import_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env={"PYTHONPATH": src}, check=True)
     assert result.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the earlier witness path, kept verbatim but for its names and the
+# module prefixes of the kernel entries it calls. `distortion` and
+# `pf_distortion` built each witness as a UtilityProfile of Python tuples
+# (`_witness_from_combo` -> `prefix_utility_row`), and the CLI rendered its
+# entries one at a time through `jsonio._render`; the witness is now kept as
+# per-ballot arrays and printed from a table of its distinct entries. The
+# CLI's stdout must stay the same byte for byte.
+# ---------------------------------------------------------------------------
+
+def oracle_render_float(value: float) -> str:
+    if math.isinf(value):
+        return '"inf"' if value > 0 else '"-inf"'
+    if value == int(value) and abs(value) < 1e15:  # int(NaN) raises ValueError
+        return f"{value:.1f}"
+    return f"{value:.12g}"
+
+
+def oracle_render(value, floats: dict) -> str:
+    """`floats` caches the text of each nonzero plain float met so far in one
+    render; 0.0 and -0.0 are one dict key but print apart, so zeros bypass it."""
+    kind = type(value)
+    if kind is float:
+        return oracle_render_float(value)
+    if kind is list or kind is tuple:
+        return "[" + ", ".join([
+            oracle_render(item, floats) if type(item) is not float
+            else floats.get(item) or floats.setdefault(item, oracle_render_float(item)) if item
+            else "-0.0" if math.copysign(1.0, item) < 0 else "0.0"
+            for item in value]) + "]"
+    if kind is dict:
+        return "{" + ", ".join([f"{json.dumps(str(k))}: {oracle_render(v, floats)}"
+                                for k, v in value.items()]) + "}"
+    return oracle_render_other(value, floats)
+
+
+def oracle_render_other(value, floats: dict) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Fraction):
+        return json.dumps(str(value))
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return oracle_render_float(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return oracle_render(dict(value), floats)
+    if isinstance(value, (list, tuple)):
+        return oracle_render(list(value), floats)
+    # numpy scalars and the like
+    if hasattr(value, "item"):
+        return oracle_render(value.item(), floats)
+    raise TypeError(f"cannot render {type(value)!r}")
+
+
+def oracle_prefix_utility_row(order, depth: int, m: int, uniform: bool = False,
+                              exact: bool = False) -> tuple:
+    """Utility row approving (or 1/depth-valuing) the ballot's top `depth`."""
+    if uniform:
+        value = Fraction(1, depth) if exact else 1.0 / depth
+    else:
+        value = Fraction(1) if exact else 1.0
+    zero = Fraction(0) if exact else 0.0
+    row = [zero] * m
+    for a in order[:depth]:
+        row[a] = value
+    return tuple(row)
+
+
+def oracle_witness_from_combo(profile, combo, cls, exact: bool) -> UtilityProfile:
+    rows = []
+    for order, (depth, uniform) in zip(profile.orders, combo):
+        rows.append(oracle_prefix_utility_row(order, depth, profile.m, uniform=uniform,
+                                              exact=exact))
+    return UtilityProfile(utils=tuple(rows), class_tag=cls, weights=profile.weights)
+
+
+def oracle_distortion(x, profile, cls) -> metrics.DistortionReport:
+    exact = x.exact
+    entry = metrics._distortion_at_exact if exact else metrics._distortion_float
+    value, a_star, combo = entry(x, profile, cls)
+    witness = oracle_witness_from_combo(profile, combo, cls, exact=exact)
+    if exact and value != math.inf:
+        s = metrics.social_welfare(x, witness)
+        value = math.inf if s == 0 else metrics._witness_ratio(witness, a_star, s)
+    return metrics.DistortionReport(value, cls, a_star, witness)
+
+
+def oracle_pf_distortion(x, profile) -> metrics.DistortionReport:
+    payoffs = metrics.pf_payoffs(x, profile)
+    a_star = payoffs.index(max(payoffs))  # lowest index on ties
+    exact = x.exact
+    rows = tuple(oracle_prefix_utility_row(order, order.index(a_star) + 1, profile.m,
+                                           exact=exact)
+                 for order in profile.orders)
+    witness = UtilityProfile(utils=rows, class_tag=UtilityClass.APPROVAL,
+                             weights=profile.weights)
+    return metrics.DistortionReport(payoffs[a_star], UtilityClass.ALL, a_star, witness)
+
+
+def oracle_dist_json(x) -> dict:
+    return {"m": x.m, "probs": list(x.probs)}
+
+
+def oracle_report_json(report) -> dict:
+    out = {"value": report.value,
+           "witness_alternative": None if report.witness_alternative is None
+           else report.witness_alternative + 1,
+           "class": report.utility_class.value}
+    if report.witness_utilities is not None:
+        out["witness_utilities"] = [list(r) for r in report.witness_utilities.utils]
+    if report.witness_deviation is not None:
+        out["witness_deviation"] = oracle_dist_json(report.witness_deviation)
+    return out
+
+
+class TestWitnessRenderOracle:
+    """`eval distortion` (four classes) and `eval pf-distortion` against the
+    earlier witness path, byte for byte, in float and rational mode, on
+    seeded weighted profiles with m = 1..60, and on an x whose ballots' tops
+    all have zero mass (the infinite value)."""
+
+    CLASSES = ("unit-sum", "unit-range", "approval", "balanced")
+
+    def check(self, capsys, profile_path, profile, probs, rational: bool, x_path):
+        x_path.write_text(json.dumps({"m": profile.m, "probs": [
+            f"{p.numerator}/{p.denominator}" if rational else p for p in probs]}),
+            encoding="utf-8")
+        x = fv.Distribution(tuple(probs))
+        mode = ["--mode", "rational"] if rational else []
+        values = []
+        for cls in self.CLASSES + (None,):
+            if cls is None:
+                argv = [*mode, "eval", "pf-distortion", profile_path, str(x_path)]
+                report = oracle_pf_distortion(x, profile)
+            else:
+                argv = [*mode, "eval", "distortion", profile_path, str(x_path), "--class", cls]
+                report = oracle_distortion(x, profile, UtilityClass(cls))
+            code, out, _ = invoke(capsys, *argv)
+            assert code == 0
+            assert out == oracle_render(oracle_report_json(report), {}) + "\n", argv
+            values.append(report.value)
+        return values
+
+    def test_byte_identical_to_earlier_path(self, capsys, tmp_path):
+        rng = np.random.default_rng(58)
+        infinite = 0
+        for m in range(1, 61):
+            ballots = int(rng.integers(1, 7 if m > 20 else 12))
+            orders = [tuple(int(a) for a in rng.permutation(m)) for _ in range(ballots)]
+            weights = [int(w) for w in rng.integers(1, 6, size=ballots)]
+            profile = fv.from_rankings(orders, m=m, weights=weights)
+            profile_path = tmp_path / f"m{m}.soc"
+            profile_path.write_text(fv.serialize_profile(profile), encoding="utf-8")
+            x_path = tmp_path / f"m{m}.json"
+
+            probs = rng.dirichlet(np.ones(m))
+            probs[rng.random(m) < 0.2] = 0.0  # some alternatives without mass
+            if not probs.any():
+                probs[int(rng.integers(0, m))] = 1.0
+            probs = (probs / probs.sum()).tolist()
+            self.check(capsys, str(profile_path), profile, probs, False, x_path)
+
+            nums = [int(v) for v in rng.integers(0, 10, size=m)]
+            if not any(nums):
+                nums[0] = 1
+            exact = [Fraction(v, sum(nums)) for v in nums]
+            self.check(capsys, str(profile_path), profile, exact, True, x_path)
+
+            tops = {order[0] for order in orders}
+            if len(tops) < m:  # all mass off the tops: every class is infinite
+                nums = [0 if a in tops else int(rng.integers(1, 4)) for a in range(m)]
+                exact = [Fraction(v, sum(nums)) for v in nums]
+                for rational in (False, True):
+                    probs = exact if rational else [float(p) for p in exact]
+                    if not rational and abs(sum(probs) - 1.0) > 1e-12:
+                        continue
+                    values = self.check(capsys, str(profile_path), profile, probs,
+                                        rational, x_path)
+                    assert all(v == math.inf for v in values)
+                    infinite += 1
+        assert infinite >= 40

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -582,6 +583,93 @@ class TestPFDistortion:
             f = lambda arr: float(fv.pf_distortion(fv.Distribution(tuple(arr)), p).value)
             mix = lam * x1 + (1 - lam) * x2
             assert f(mix / mix.sum()) <= lam * f(x1) + (1 - lam) * f(x2) + 1e-12
+
+
+class TestLazyWitness:
+    """`distortion` and `pf_distortion` keep the witness as per-ballot arrays
+    and build its UtilityProfile on first read. The report must read, compare,
+    hash and print as the one built with the rows at once (`eager_report`)."""
+
+    @staticmethod
+    def eager_report(x, p, cls):
+        """The report as built before: the witness rows built at once by
+        `_witness_from_combo`; cls None is `pf_distortion`."""
+        exact = x.exact
+        if cls is None:
+            payoffs = fv.pf_payoffs(x, p)
+            a_star = payoffs.index(max(payoffs))
+            combo = [(order.index(a_star) + 1, False) for order in p.orders]
+            witness = _witness_from_combo(p, combo, UtilityClass.APPROVAL, exact)
+            return DistortionReport(payoffs[a_star], UtilityClass.ALL, a_star, witness)
+        entry = metrics._distortion_at_exact if exact else metrics._distortion_float
+        value, a_star, combo = entry(x, p, cls)
+        witness = _witness_from_combo(p, combo, cls, exact)
+        if exact and value != math.inf:
+            sw_x = social_welfare(x, witness)
+            value = math.inf if sw_x == 0 else _witness_ratio(witness, a_star, sw_x)
+        return DistortionReport(value, cls, a_star, witness)
+
+    @staticmethod
+    def lazy_report(x, p, cls):
+        return fv.pf_distortion(x, p) if cls is None else fv.distortion(x, p, cls)
+
+    def test_same_witness_equality_hash_and_repr(self):
+        rng = np.random.default_rng(59)
+        for trial in range(40):
+            m, ballots = int(rng.integers(1, 10)), int(rng.integers(1, 9))
+            orders = [tuple(int(a) for a in rng.permutation(m)) for _ in range(ballots)]
+            p = fv.from_rankings(orders, m=m,
+                                 weights=[int(w) for w in rng.integers(1, 4, size=ballots)])
+            exact = random_exact_distribution(m, rng, digits=2 if trial % 3 else 9)
+            for x in (exact, float_copy(exact)):
+                for cls in DISTORTION_CLASSES + (None,):
+                    eager = self.eager_report(x, p, cls)
+                    lazy = self.lazy_report(x, p, cls)
+                    assert lazy.vertex_witness is not None
+                    assert lazy == eager and eager == lazy  # the first read is ==
+                    assert hash(self.lazy_report(x, p, cls)) == hash(eager)
+                    assert repr(self.lazy_report(x, p, cls)) == repr(eager)
+                    u, v = lazy.witness_utilities, eager.witness_utilities
+                    assert u.utils == v.utils and u.class_tag is v.class_tag
+                    assert u.weights == v.weights
+                    assert [type(e) for row in u.utils for e in row] == [
+                        type(e) for row in v.utils for e in row]
+                    assert type(lazy.value) is type(eager.value)
+                    assert (lazy.vertex_witness.as_array().tobytes()
+                            == v.as_array().tobytes())
+                    assert lazy.witness_utilities is u  # built once
+
+    def test_equality_between_reports_as_before(self, triad):
+        xs = [fv.Distribution((F(1, 2), F(1, 4), F(1, 4))), fv.Distribution((0.5, 0.25, 0.25)),
+              fv.Distribution((F(1, 3),) * 3), fv.Distribution((1.0, 0.0, 0.0)),
+              fv.Distribution((0.0, 0.0, 1.0))]
+        cases = [(x, cls) for x in xs for cls in DISTORTION_CLASSES + (None,)]
+        cases += cases[:7]  # the same inputs twice
+        eager = [self.eager_report(x, triad, cls) for x, cls in cases]
+        for i, (x_i, cls_i) in enumerate(cases):
+            for j, (x_j, cls_j) in enumerate(cases):
+                lazy_i = self.lazy_report(x_i, triad, cls_i)
+                lazy_j = self.lazy_report(x_j, triad, cls_j)
+                assert (lazy_i == lazy_j) == (eager[i] == eager[j])
+                if eager[i] == eager[j]:
+                    assert hash(lazy_i) == hash(lazy_j)
+        lazy = [self.lazy_report(x, triad, cls) for x, cls in cases]
+        assert len(set(lazy)) == len(set(eager)) < len(cases)
+
+    def test_still_a_frozen_dataclass(self, triad, x_half):
+        report = fv.distortion(x_half, triad, fv.UtilityClass.BALANCED)
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "value", "utility_class", "witness_alternative", "witness_utilities",
+            "witness_deviation"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.witness_utilities = None
+        copy = dataclasses.replace(report, value=F(7))
+        assert copy.witness_utilities == report.witness_utilities
+        assert copy.vertex_witness is None  # given the built profile
+        with pytest.raises(TypeError):
+            DistortionReport(F(1), fv.UtilityClass.BALANCED, 0)  # the witness has no default
+        nash = fv.nash_distortion_smallscale(float_copy(x_half), triad)
+        assert nash.vertex_witness is None and nash.witness_utilities is not None
 
 
 class TestNashOpt:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fairvote as fv
+from fairvote import rules
 from fairvote.rules import TwoAltObjective, two_block_profile
 
 
@@ -115,6 +116,35 @@ class TestSupportingSize:
             z = np.concatenate([1.0 - half[::-1], [0.5] if n % 2 == 0 else [], half])
             x = fv.supporting_size_rule(p, fv.SupportingSizeWeights(tuple(float(v) for v in z)))
             assert abs(sum(x.probs) - 1) < 1e-12 and min(x.probs) >= 0
+
+
+def loop_pairwise_tallies(profile):
+    """The earlier `pairwise_tallies`, kept verbatim but for its name: a
+    Python triple loop over ballots and pairs. It now makes one comparison of
+    the rank matrix per alternative."""
+    m = profile.m
+    tallies = [[0] * m for _ in range(m)]
+    for order, w in zip(profile.orders, profile.weights):
+        for i, a in enumerate(order):
+            row = tallies[a]
+            for b in order[i + 1:]:
+                row[b] += w
+    return tallies
+
+
+class TestPairwiseTallies:
+    def test_matches_earlier_loop(self):
+        rng = np.random.default_rng(60)
+        for trial in range(60):
+            m, ballots = int(rng.integers(1, 13)), int(rng.integers(1, 25))
+            orders = [tuple(int(a) for a in rng.permutation(m)) for _ in range(ballots)]
+            weights = [int(w) for w in rng.integers(1, 50, size=ballots)]
+            if trial % 10 == 0:  # a total weight beyond int64
+                weights[0] = 2**70 + trial
+            p = fv.from_rankings(orders, m=m, weights=weights)
+            tallies = rules.pairwise_tallies(p)
+            assert tallies == loop_pairwise_tallies(p)
+            assert all(type(v) is int for row in tallies for v in row)
 
 
 class TestTwoAlternativeRules:
