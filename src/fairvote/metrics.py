@@ -21,8 +21,12 @@ rational mode, where the value is then recomputed from the witness alone.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -522,11 +526,53 @@ def nash_distortion_smallscale(x: Distribution, profile: PreferenceProfile) -> D
 # core checking
 # ---------------------------------------------------------------------------
 
+_HIGHS = "scipy.optimize._highspy._core"
+
+
+def _highs_spec():
+    """The spec of scipy's HiGHS extension file, found without importing
+    scipy (find_spec of a top-level package only locates it), or None."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        return None
+    places = [os.path.join(p, "optimize", "_highspy") for p in scipy.submodule_search_locations]
+    return importlib.machinery.PathFinder.find_spec(_HIGHS, places)
+
+
+def _highs():
+    """scipy's HiGHS extension, loaded by itself on first use.
+
+    Importing it as a submodule runs scipy.optimize's package __init__,
+    ~0.35 s of start-up for a solver that loads in ~10 ms. The module is
+    registered under its real name before it runs: pybind11 registers its
+    types once per process, so a later `import scipy.optimize` must reuse
+    this module rather than load a second copy. If scipy (or this function)
+    loaded it already, that module is returned. If the file is not where
+    scipy >= 1.15 puts it, or will not load alone (a wheel whose package
+    __init__ adds the extension's DLL directory, as on Windows), it is
+    imported through scipy.optimize.
+    """
+    module = sys.modules.get(_HIGHS)
+    if module is not None:
+        return module
+    spec = _highs_spec()
+    if spec is not None:
+        try:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_HIGHS] = module
+            spec.loader.exec_module(module)
+            return module
+        except ImportError:
+            sys.modules.pop(_HIGHS, None)
+    from scipy.optimize._highspy import _core
+
+    return _core
+
+
 @functools.cache
 def _highs_options():
     """The five options scipy's linprog(method="highs") sets, built once."""
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs()
     options = highs.HighsOptions()
     options.presolve = "on"
     options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
@@ -536,7 +582,7 @@ def _highs_options():
     return options
 
 
-def linprog(M: np.ndarray) -> SimpleNamespace:
+def linprog(M: np.ndarray, solver=None) -> SimpleNamespace:
     """max sum_i (M y)_i  s.t.  M y >= 0, y on the simplex, by one HiGHS call.
 
     The model and options are those scipy.optimize.linprog(c=-M.sum(0),
@@ -547,13 +593,16 @@ def linprog(M: np.ndarray) -> SimpleNamespace:
     and `message`. Only HiGHS's kInfeasible reads as status 2; a model HiGHS
     refuses, a non-finite M and a solution that fails linprog's post-solve
     check (x within [0, 1], rows and the sum within sqrt(1e-9) * 10) are
-    failures. HiGHS is imported on first call: only core checking needs it,
-    and importing scipy costs most of the CLI's start-up.
+    failures. `solver` is a HiGHS instance to reuse, cleared of its model
+    and solver state first (the same vertex as a fresh one, at about half
+    the cost); by default each call makes its own. HiGHS is loaded on first
+    call, by itself (`_highs`): only core checking needs it, and importing
+    scipy.optimize would cost ~0.35 s of the CLI's start-up.
     """
     if not np.isfinite(M).all():
         return SimpleNamespace(status=4, success=False, x=None,
                                message="the coalition matrix is not finite")
-    from scipy.optimize._highspy import _core as highs
+    highs = _highs()
 
     k, m = M.shape
     A = np.vstack((-M, np.ones((1, m))))
@@ -572,7 +621,12 @@ def linprog(M: np.ndarray) -> SimpleNamespace:
     lp.row_upper_ = np.append(np.zeros(k), 1.0)
 
     ms = highs.HighsModelStatus
-    h = highs._Highs()
+    if solver is None:
+        h = highs._Highs()
+    else:
+        h = solver
+        h.clearModel()
+        h.clearSolver()
     error = highs.HighsStatus.kError
     if h.passOptions(_highs_options()) == error or h.passModel(lp) == error:
         model_status = ms.kModelError
@@ -629,6 +683,7 @@ def core_check(x: Distribution, u: UtilityProfile, alpha: float,
     c = np.array([float(e) for e in u.expected(x)])
     B = u.num_ballots
     block_w = np.asarray(u.weights, dtype=np.float64)
+    solver = None  # one HiGHS instance for this call's LPs, made at the first
 
     for mask in range(1, 1 << B):
         members = [b for b in range(B) if mask >> b & 1]
@@ -637,7 +692,9 @@ def core_check(x: Distribution, u: UtilityProfile, alpha: float,
         if np.any(M.max(axis=1) < -tol) or _coalition_game_value(M) < -tol:
             continue  # no deviation compensates every member
         # slack maximization: max sum_i M_i . y  s.t.  M y >= 0, y in simplex
-        res = linprog(M)
+        if solver is None:
+            solver = _highs()._Highs()
+        res = linprog(M, solver)
         if res.status == 2:  # infeasible: this coalition cannot deviate
             continue
         if not res.success:

@@ -47,12 +47,15 @@ def mwu_solve(num_rows: int, payoff_bound: float,
     log_weights = np.zeros(R)
     payoff_sum = np.zeros(R)
     mix_sum = np.zeros(R)
+    # the ufunc reductions are what ndarray.max/.min/.sum call, minus a
+    # Python-level hop each: this loop runs ~1,000 rounds per lottery
+    top, bottom, total = np.maximum.reduce, np.minimum.reduce, np.add.reduce
     for t in range(1, T + 1):
-        mix = np.exp(log_weights - log_weights.max())
-        mix /= mix.sum()
+        mix = np.exp(log_weights - top(log_weights))
+        mix /= total(mix)
         payoffs = np.asarray(best_response(mix), dtype=np.float64)
         # NaN fails both comparisons
-        if payoffs.shape != (R,) or not (payoffs.min() >= -1e-9 and payoffs.max() <= high):
+        if payoffs.shape != (R,) or not (bottom(payoffs) >= -1e-9 and top(payoffs) <= high):
             raise ValueError(f"payoff vector must have shape ({R},) and entries in "
                              f"[0, {payoff_bound}]")
         payoff_sum += payoffs

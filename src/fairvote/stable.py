@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .mwu import CertificationError, mwu_solve
-from .profiles import Distribution, PreferenceProfile, prefix_mass_matrix
+from .profiles import Distribution, PreferenceProfile
 from .rules import harmonic_scores
 
 
@@ -66,9 +66,11 @@ class Committee:
 
 def _iid_bound(z: np.ndarray, profile: PreferenceProfile, k: int) -> np.ndarray:
     """Per-alternative sum_i w_i z(L_i(a))^k, with z(L_i(a)) taken as
-    1 - z(h_i(a)) and clipped into [0, 1] against rounding."""
-    below = np.clip(1.0 - prefix_mass_matrix(z, profile), 0.0, 1.0)
-    return profile.weight_array() @ below ** k
+    1 - z(h_i(a)) and floored at 0 against rounding (z >= 0, so it never
+    exceeds 1). z(h_i(a)) is `prefix_mass_matrix`, inlined: this is MWU's
+    best response, called every round."""
+    mass = z[profile.order_matrix()].cumsum(axis=1).take(profile._rank_index)
+    return profile.weight_array() @ np.maximum(1.0 - mass, 0.0) ** k
 
 
 def stability_certificate(lottery: StableLottery, profile: PreferenceProfile) -> np.ndarray:

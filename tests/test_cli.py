@@ -749,3 +749,98 @@ class TestWitnessRenderOracle:
                     assert all(v == math.inf for v in values)
                     infinite += 1
         assert infinite >= 40
+
+
+# ---------------------------------------------------------------------------
+# HiGHS is loaded as scipy's extension module alone, without scipy.optimize's
+# package __init__; each probe runs in a fresh interpreter, where the
+# process's import state is what is under test.
+# ---------------------------------------------------------------------------
+
+def fresh_python(code: str) -> dict:
+    """Run `code` in a fresh interpreter with fairvote importable; it prints
+    one JSON object as its last line of stdout."""
+    src = str(Path(fv.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={"PYTHONPATH": src}, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+# seeded coalition-shaped LPs, some with exact zeros, ~half of them infeasible
+SEEDED_LPS = """
+import numpy as np
+rng = np.random.default_rng(41)
+matrices = []
+for _ in range(60):
+    k, m = int(rng.integers(1, 8)), int(rng.integers(2, 12))
+    M = rng.uniform(-1.0, 1.0, (k, m)) * (rng.random((k, m)) < 0.7)
+    matrices.append(M - float(rng.uniform(0.0, 0.6)) * (rng.random((k, 1)) < 0.5))
+"""
+
+
+def test_eval_core_loads_highs_without_scipy_optimize(triad_file, x_file, tmp_path):
+    up = tmp_path / "us.json"
+    up.write_text('{"class": "unit-sum", "utils": [[0.5, 0.3, 0.2], [0.3, 0.5, 0.2], '
+                  '[0.5, 0.2, 0.3]]}', encoding="utf-8")
+    argv = ["eval", "core", triad_file, x_file, "--utils", str(up), "--alpha", "1"]
+    probe = f"""
+import contextlib, io, json, sys
+from fairvote import cli, metrics
+calls = []
+solve = metrics.linprog
+metrics.linprog = lambda *args: calls.append(1) or solve(*args)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.run({argv!r})
+print(json.dumps({{"code": code, "out": out.getvalue(), "lps": len(calls),
+                  "optimize": "scipy.optimize" in sys.modules,
+                  "highs": "scipy.optimize._highspy._core" in sys.modules}}))
+"""
+    got = fresh_python(probe)
+    assert got["code"] == 0 and got["lps"] >= 1
+    assert json.loads(got["out"])["witness_deviation"]["probs"] == [0.875, 0.125, 0.0]
+    assert got["highs"] and not got["optimize"]
+
+
+@pytest.mark.parametrize("scipy_first", [False, True])
+def test_scipy_linprog_agrees_after_either_import_order(scipy_first):
+    probe = SEEDED_LPS + f"""
+import json, sys
+from fairvote import metrics
+if {scipy_first!r}:
+    from scipy.optimize import linprog
+metrics.linprog(matrices[0])
+standalone = "scipy.optimize" not in sys.modules
+from scipy.optimize import linprog
+same, statuses = True, set()
+for M in matrices:
+    k, m = M.shape
+    ref = linprog(c=-(M.sum(0)), A_ub=-M, b_ub=np.zeros(k), A_eq=np.ones((1, m)),
+                  b_eq=[1.0], bounds=(0.0, 1.0), method="highs")
+    new = metrics.linprog(M)
+    same &= new.status == ref.status and (
+        new.x is None if ref.x is None else new.x.tobytes() == ref.x.tobytes())
+    statuses.add(new.status)
+print(json.dumps({{"standalone": standalone, "same": bool(same),
+                  "statuses": sorted(statuses),
+                  "one_module": sys.modules["scipy.optimize._highspy._core"]
+                  is metrics._highs()}}))
+"""
+    got = fresh_python(probe)
+    assert got["standalone"] is not scipy_first
+    assert got["same"] and got["statuses"] == [0, 2] and got["one_module"]
+
+
+def test_highs_falls_back_to_the_package_import():
+    def solve(fallback: bool) -> dict:
+        return fresh_python(SEEDED_LPS + f"""
+import json, sys
+from fairvote import metrics
+if {fallback!r}:
+    metrics._highs_spec = lambda: None  # no extension file found
+xs = [None if r.x is None else r.x.tobytes().hex() for r in map(metrics.linprog, matrices)]
+print(json.dumps({{"xs": xs, "optimize": "scipy.optimize" in sys.modules}}))
+""")
+
+    standalone, fallback = solve(False), solve(True)
+    assert not standalone["optimize"] and fallback["optimize"]
+    assert fallback["xs"] == standalone["xs"] and any(standalone["xs"])

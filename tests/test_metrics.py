@@ -962,6 +962,55 @@ class TestCoreLP:
         assert (res.status, res.success, res.x) == (4, False, None)
         assert "misses the constraints" in res.message
 
+
+class TestCoreLPSolverReuse:
+    def test_one_solver_in_sequence_matches_fresh_solvers(self):
+        # the matrices of TestCoreLP.test_matches_scipy_linprog, in order
+        rng = np.random.default_rng(27)
+        matrices = list(core_coalition_matrices(rng, 100))
+        for _ in range(200):
+            k, m = int(rng.integers(1, 13)), int(rng.integers(2, 50))
+            M = rng.uniform(-1.0, 1.0, (k, m)) * (rng.random((k, m)) < 0.7)
+            matrices.append(M - float(rng.uniform(0.0, 0.6)) * (rng.random((k, 1)) < 0.5))
+        solver = metrics._highs()._Highs()
+        statuses = []
+        for M in matrices:
+            reused, fresh = metrics.linprog(M, solver), metrics.linprog(M)
+            assert (reused.status, reused.success) == (fresh.status, fresh.success)
+            if fresh.x is None:
+                assert reused.x is None
+            else:
+                assert reused.x.tobytes() == fresh.x.tobytes()
+            statuses.append(reused.status)
+        assert len(matrices) >= 2200 and set(statuses) == {0, 2}
+
+    def test_core_check_makes_one_solver(self, monkeypatch):
+        highs = metrics._highs()
+        made, used = [], []
+
+        class Counted(highs._Highs):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        solve = metrics.linprog
+        monkeypatch.setattr(highs, "_Highs", Counted)
+        monkeypatch.setattr(metrics, "linprog",
+                            lambda M, solver=None: used.append(solver) or solve(M, solver))
+        rng = np.random.default_rng(28)
+        lps = 0
+        for _ in range(20):
+            u = fv.UtilityProfile(utils=tuple(tuple(rng.dirichlet(np.ones(4))) for _ in range(4)),
+                                  class_tag=fv.UtilityClass.UNIT_SUM, weights=(1, 1, 1, 1))
+            made.clear()
+            used.clear()
+            fv.core_check(fv.Distribution.uniform(4), u, 1.0)
+            assert len(made) == (1 if used else 0)
+            assert all(solver is made[0] for solver in used)
+            lps += len(used)
+        assert lps > 20
+
+
 class TestCrossMetricLinks:
     def test_prop_nash_below_pf(self):
         rng = np.random.default_rng(24)
