@@ -27,7 +27,7 @@ from .metrics import (
     pf_value,
     social_welfare,
 )
-from .mwu import CertificationError, mwu_solve
+from .mwu import mwu_solve
 from .optimize import (
     FeasibleRegion,
     OptimizationResult,
@@ -40,6 +40,7 @@ from .optimize import (
     project,
 )
 from .profiles import (
+    CertificationError,
     ConsistencyViolation,
     Distribution,
     PreferenceProfile,

@@ -13,8 +13,8 @@ from pathlib import Path
 
 from . import lowerbounds, metrics, optimize, rules, stable, stress
 from .jsonio import render_json
-from .mwu import CertificationError
 from .profiles import (
+    CertificationError,
     Distribution,
     ProfileFormatError,
     UtilityClass,
@@ -55,13 +55,23 @@ def _load_profile(path: str):
 
 def _parse_number(token, exact: bool):
     """A number given as text, or a JSON number, as a Fraction (exact) or a
-    float; "p/q" text is always a Fraction. JSON booleans are not numbers."""
-    if isinstance(token, str):
-        if "/" in token:
-            return Fraction(token)
-    elif isinstance(token, bool) or not isinstance(token, (int, float)):
+    float; "p/q" text is always a Fraction. JSON booleans are not numbers,
+    and neither are a zero denominator or an infinite exact value."""
+    if isinstance(token, bool) or not isinstance(token, (str, int, float)):
         raise ValueError(f"not a number: {json.dumps(token)}")
-    return Fraction(token) if exact else float(token)
+    try:
+        if exact or (isinstance(token, str) and "/" in token):
+            return Fraction(token)
+        return float(token)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"not a finite number: {json.dumps(token)}") from None
+
+
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
 
 
 def _read_json(path: str, what: str):
@@ -86,7 +96,7 @@ def _load_distribution(path: str, exact: bool) -> Distribution:
     try:
         probs = tuple(_parse_number(p, exact) for p in _json_list(payload, "probs"))
         return Distribution(probs)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:  # a huge "p/q" plus a float overflows
         raise InputError(f"bad distribution in {path!r}: {exc}") from None
 
 
@@ -102,7 +112,7 @@ def _load_utilities(path: str, exact: bool, weights) -> UtilityProfile:
             _parse_number(v, exact)  # the weights are kept as given
         tag = UtilityClass(payload.get("class", "all"))
         return UtilityProfile(utils=utils, class_tag=tag, weights=tuple(w))
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"bad utility profile in {path!r}: {exc}") from None
 
 
@@ -123,10 +133,6 @@ def _check_utilities(u: UtilityProfile, profile, path: str) -> None:
         raise InputError(f"utilities in {path!r} contradict the profile: {detail}")
 
 
-def _dist_json(x: Distribution) -> dict:
-    return {"m": x.m, "probs": list(x.probs)}
-
-
 def _report_json(report: metrics.DistortionReport) -> dict:
     out = {"value": report.value,
            "witness_alternative": None if report.witness_alternative is None
@@ -137,7 +143,7 @@ def _report_json(report: metrics.DistortionReport) -> dict:
     elif report.witness_utilities is not None:
         out["witness_utilities"] = [list(r) for r in report.witness_utilities.utils]
     if report.witness_deviation is not None:
-        out["witness_deviation"] = _dist_json(report.witness_deviation)
+        out["witness_deviation"] = report.witness_deviation.to_json_dict()
     return out
 
 
@@ -245,10 +251,9 @@ def _dump_lottery(path: str, lottery: stable.StableLottery, profile) -> None:
     cert = stable.stability_certificate(lottery, profile)
     rounds = [{"members": [a + 1 for a in rnd.members]} if rnd.members is not None
               else {"z": list(rnd.z)} for rnd in lottery.rounds]
-    Path(path).write_text(render_json(
-        {"k": lottery.k, "rounds": rounds,
-         "certificate": {"per_alternative": list(cert),
-                         "bound": profile.n / lottery.k}}), encoding="utf-8")
+    _write(path, render_json({"k": lottery.k, "rounds": rounds,
+                              "certificate": {"per_alternative": list(cert),
+                                              "bound": profile.n / lottery.k}}))
 
 
 def _run_rule(args, exact: bool) -> int:
@@ -269,22 +274,17 @@ def _run_rule(args, exact: bool) -> int:
         z = rules.SupportingSizeWeights(_parse_weights(args.weights, exact))
         x = rules.supporting_size_rule(profile, z)
     elif name == "slr":
+        lottery = stable.compute_stable_lottery(profile, stable.committee_size(profile.m))
+        x = stable.distribution_from_lottery(lottery, profile.m)
         if args.dump_lottery:
-            # the same lottery gives x and the dump; stable_lottery_rule would
-            # compute it a second time
-            k = stable.committee_size(profile.m)
-            lottery = stable.compute_stable_lottery(profile, k)
-            x = stable.distribution_from_lottery(lottery, profile.m)
             _dump_lottery(args.dump_lottery, lottery, profile)
-        else:
-            x = stable.stable_lottery_rule(profile)
     elif name == "scr":
         mode = {"exhaustive": "exhaustive", "local": "local_search",
                 "auto": "auto"}[args.search_mode]
         x = stable.stable_committee_rule(profile, seed=args.seed, mode=mode)
     else:  # pragma: no cover
         raise InputError(f"unknown rule {name!r}")
-    _emit(_dist_json(x))
+    _emit(x.to_json_dict())
     return 0
 
 
@@ -309,7 +309,7 @@ def _run_eval(args, exact: bool) -> int:
                    "witness_agents": None if report.witness_agents is None
                    else [b + 1 for b in report.witness_agents],
                    "witness_deviation": None if report.witness_deviation is None
-                   else _dist_json(report.witness_deviation)})
+                   else report.witness_deviation.to_json_dict()})
         return 0
     if name == "pf-distortion":
         _emit(_report_json(metrics.pf_distortion(x, profile)))
@@ -328,7 +328,7 @@ def _run_opt(args) -> int:
         result = optimize.optimize_distortion(profile, UtilityClass(args.utility_class),
                                               args.eps, guard=args.guard,
                                               max_iters=args.max_iters)
-    _emit({"distribution": _dist_json(result.distribution), "value": result.value,
+    _emit({"distribution": result.distribution.to_json_dict(), "value": result.value,
            "iterations": result.iterations, "certified": result.certified})
     return 0
 
@@ -341,7 +341,7 @@ def _bundle_json(bundle: lowerbounds.FixtureBundle) -> dict:
             "name": w.name,
             "class": w.utilities.class_tag.value,
             "utils": [list(r) for r in w.utilities.utils],
-            "deviation": _dist_json(w.deviation),
+            "deviation": w.deviation.to_json_dict(),
         } for w in bundle.witnesses],
     }
 
@@ -361,15 +361,14 @@ def _run_gen(args) -> int:
     if args.out:
         profile_path = Path(args.out + ".soc")
         witness_path = Path(args.out + ".witnesses.json")
-        profile_path.write_text(text, encoding="utf-8")
-        witness_path.write_text(render_json(_bundle_json(bundle)), encoding="utf-8")
+        _write(profile_path, text)
+        _write(witness_path, render_json(_bundle_json(bundle)))
         summary["profile_path"] = str(profile_path)
         summary["witnesses_path"] = str(witness_path)
-        _emit(summary)
     else:
         summary["profile"] = text
         summary["witnesses"] = _bundle_json(bundle)["witnesses"]
-        _emit(summary)
+    _emit(summary)
     return 0
 
 
@@ -408,10 +407,7 @@ def run(argv=None) -> int:
             return _run_gen(args)
         if args.command == "stress":
             return _run_stress(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, metrics.OracleScaleError) as exc:
+    except ValueError as exc:  # InputError and OracleScaleError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CertificationError as exc:

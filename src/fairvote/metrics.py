@@ -27,7 +27,6 @@ import itertools
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -35,8 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .mwu import CertificationError
 from .profiles import (
+    CertificationError,
     Distribution,
     Number,
     PreferenceProfile,
@@ -393,11 +392,14 @@ def pf_payoffs(x: Distribution, profile: PreferenceProfile) -> list:
                     payoffs[a] += Fraction(w) / mass
         return [p if p == math.inf else p / n for p in payoffs]
     H = prefix_mass_matrix(x.as_array(), profile)
-    w = profile.weight_array()
-    with np.errstate(divide="ignore"):
-        inv = np.where(H > 0.0, 1.0 / np.where(H > 0.0, H, 1.0), np.inf)
-    vals = (w @ inv) / n
-    return [float(v) for v in vals]
+    return [float(v) for v in pf_payoffs_of_masses(H, profile.weight_array(), n)]
+
+
+def pf_payoffs_of_masses(H: np.ndarray, weights: np.ndarray, n: float) -> np.ndarray:
+    """The float payoffs from the prefix masses H[b, a] = x(h_b(a)); +inf
+    where some mass is not positive (-0.0 included)."""
+    positive = H > 0.0
+    return (weights @ np.where(positive, 1.0 / np.where(positive, H, 1.0), np.inf)) / n
 
 
 def pf_distortion(x: Distribution, profile: PreferenceProfile) -> DistortionReport:
@@ -435,8 +437,7 @@ def pf_distortion_bruteforce(x: Distribution, profile: PreferenceProfile) -> Num
 # Nash-welfare optimum and Nash distortion oracle
 # ---------------------------------------------------------------------------
 
-def nash_opt(u: UtilityProfile, tol: float = 1e-6, max_iters: int = 50_000,
-             strict: bool = True) -> Distribution:
+def nash_opt(u: UtilityProfile, tol: float = 1e-6, max_iters: int = 50_000) -> Distribution:
     """Maximize sum_i w_i log u_i(y) over the simplex by projected gradient
     ascent with backtracking; stops once PF(result, u) <= 1 + tol, which is a
     verifiable optimality certificate."""
@@ -472,13 +473,9 @@ def nash_opt(u: UtilityProfile, tol: float = 1e-6, max_iters: int = 50_000,
             trial_step *= 0.5
         if not improved:
             break
-    message = "nash_opt stopped before reaching its PF certificate"
-    if strict:
-        grad = U.T @ (w / (U @ y))
-        if grad.max() > n * (1.0 + 10 * tol):
-            raise CertificationError(message)
-    else:
-        warnings.warn(message, RuntimeWarning)
+    grad = U.T @ (w / (U @ y))
+    if grad.max() > n * (1.0 + 10 * tol):
+        raise CertificationError("nash_opt stopped before reaching its PF certificate")
     return Distribution(tuple(float(v) for v in y))
 
 

@@ -18,10 +18,6 @@ import numpy as np
 CHECK_EVERY = 1000  # rounds between calls of the caller's stop_check
 
 
-class CertificationError(RuntimeError):
-    """A solve hit its round cap without reaching the requested guarantee."""
-
-
 class MwuResult(NamedTuple):
     row_mix: np.ndarray  # the adversary's mix, averaged over the rounds
     rounds: int

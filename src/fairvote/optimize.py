@@ -28,9 +28,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .metrics import DistortionReport, distortion
-from .mwu import CertificationError
-from .profiles import Distribution, PreferenceProfile, UtilityClass, prefix_mass_matrix
+from .metrics import DistortionReport, distortion, pf_payoffs_of_masses
+from .profiles import (CertificationError, Distribution, PreferenceProfile, UtilityClass,
+                       prefix_mass_matrix)
 from .simplex import project_to_scaled_simplex
 
 DIAMETER = math.sqrt(2.0)  # upper bound on distances within the simplex
@@ -105,10 +105,9 @@ class _PFObjective:
     def payoffs(self, x: np.ndarray, H: Optional[np.ndarray] = None) -> np.ndarray:
         if H is None:
             H = self.prefix_masses(x)
-        return (self.weights @ (1.0 / H)) / self.n
+        return pf_payoffs_of_masses(H, self.weights, self.n)
 
-    def subgradient(self, x: np.ndarray, tag: tuple[int, np.ndarray]) -> np.ndarray:
-        a_star, H = tag
+    def subgradient(self, a_star: int, H: np.ndarray) -> np.ndarray:
         coeff = self.weights / (self.n * H[:, a_star] ** 2)
         return -(coeff @ self.above[a_star])
 
@@ -125,7 +124,7 @@ def pf_subgradient(x: Distribution, profile: PreferenceProfile,
         a_star = int(np.argmax(obj.payoffs(arr, H)))
     if H[:, a_star].min() <= 0.0:
         raise ValueError("zero prefix mass at the argmax alternative")
-    return obj.subgradient(arr, (a_star, H))
+    return obj.subgradient(a_star, H)
 
 
 def _pf_lower_bound(obj: _PFObjective, region: FeasibleRegion, x: np.ndarray,
@@ -136,7 +135,7 @@ def _pf_lower_bound(obj: _PFObjective, region: FeasibleRegion, x: np.ndarray,
     region: L bounds the optimum from below whatever produced x and mu."""
     mu = mu / mu.sum()
     H = obj.prefix_masses(x)
-    G = sum(float(mu[a]) * obj.subgradient(x, (a, H)) for a in range(x.size))
+    G = sum(float(mu[a]) * obj.subgradient(a, H) for a in range(x.size))
     return (float(mu @ obj.payoffs(x, H)) + float(region._lb @ G)
             + region._slack * float(G.min()) - float(G @ x))
 

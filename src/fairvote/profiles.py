@@ -28,6 +28,10 @@ class ProfileFormatError(ValueError):
         self.line = line
 
 
+class CertificationError(RuntimeError):
+    """A solve hit its round cap without reaching the requested guarantee."""
+
+
 def _is_exact(value: Number) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
@@ -107,10 +111,6 @@ class PreferenceProfile:
     def num_ballots(self) -> int:
         return len(self.orders)
 
-    def rank_of(self, ballot: int, alternative: int) -> int:
-        """Position of `alternative` in stored ballot's ranking, 1 = best."""
-        return self.orders[ballot].index(alternative) + 1
-
     def rank_matrix(self) -> np.ndarray:
         """Read-only (num_ballots, m) int array; entry [b, a] is the 1-based rank of a."""
         return self._ranks
@@ -123,14 +123,12 @@ class PreferenceProfile:
         """Read-only float array of the ballot multiplicities."""
         return self._weights
 
-    def top_fractions(self, exact: bool = False) -> list:
+    def top_fractions(self) -> list:
         """Fraction of agents ranking each alternative first (the p_a vector)."""
         counts = [0] * self.m
         for order, w in zip(self.orders, self.weights):
             counts[order[0]] += w
         n = self.n
-        if exact:
-            return [Fraction(c, n) for c in counts]
         return [c / n for c in counts]
 
     def canonical(self) -> tuple:
@@ -277,10 +275,6 @@ class UtilityProfile:
     def expected(self, x: Distribution) -> list:
         """Per-ballot expected utility u_i(x)."""
         return [sum(u * p for u, p in zip(row, x.probs)) for row in self.utils]
-
-    def to_json_dict(self) -> dict:
-        return {"class": self.class_tag.value, "utils": [list(r) for r in self.utils],
-                "weights": list(self.weights)}
 
 
 class ConsistencyViolation(NamedTuple):

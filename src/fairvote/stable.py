@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .mwu import CertificationError, mwu_solve
-from .profiles import Distribution, PreferenceProfile
+from .mwu import mwu_solve
+from .profiles import CertificationError, Distribution, PreferenceProfile
 from .rules import harmonic_scores
 
 
@@ -185,11 +185,8 @@ def distribution_from_lottery(lottery: StableLottery, m: int) -> Distribution:
 
 def stable_lottery_rule(profile: PreferenceProfile) -> Distribution:
     """Stable-lottery rule with k = ceil(sqrt(m))."""
-    m = profile.m
-    if m == 1:
-        return Distribution((1.0,))
-    lottery = compute_stable_lottery(profile, committee_size(m))
-    return distribution_from_lottery(lottery, m)
+    lottery = compute_stable_lottery(profile, committee_size(profile.m))
+    return distribution_from_lottery(lottery, profile.m)
 
 
 def committee_stability_factor(profile: PreferenceProfile, members: tuple[int, ...],
@@ -255,8 +252,6 @@ def stable_committee_rule(profile: PreferenceProfile, seed: int = 0,
     """x(a) = I[a in X] / (2k) + 1/(2m) with k = ceil(sqrt(m)) and X a
     (approximately) stable committee."""
     m = profile.m
-    if m == 1:
-        return Distribution((1.0,))
     k = committee_size(m)
     if mode == "auto":
         mode = "exhaustive" if math.comb(m, k) <= 10**6 else "local_search"

@@ -79,13 +79,13 @@ class TestRuleCommands:
         assert json.loads(out)["probs"][0] == pytest.approx(5 / 12)
 
     def test_certification_failure_exits_two(self, capsys, triad_file, monkeypatch):
+        from fairvote import CertificationError
         from fairvote import cli as cli_mod
-        from fairvote.mwu import CertificationError
 
-        def boom(profile):
+        def boom(profile, k):
             raise CertificationError("synthetic")
 
-        monkeypatch.setattr(cli_mod.stable, "stable_lottery_rule", boom)
+        monkeypatch.setattr(cli_mod.stable, "compute_stable_lottery", boom)
         code, out, err = invoke(capsys, "rule", "slr", triad_file)
         assert code == 2 and "certification" in err
 
@@ -410,6 +410,51 @@ class TestExitCodes:
         up.write_text('{"utils": %s}' % utils, encoding="utf-8")
         code, out, err = invoke(capsys, "--mode", "rational", "eval", "sw", triad_file,
                                 str(xp), "--utils", str(up))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: bad {bad}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("token", ["1/0", "0/0", "x", "nan", "inf", "1e999"])
+    @pytest.mark.parametrize("argv", [
+        ("rule", "point-voting", "{profile}", "--weights", "{t},1/2,1/2"),
+        ("rule", "supporting-size", "{profile}", "--weights", "0,{t},1/2,1"),
+        ("rule", "two-alt", "--alpha", "{t}", "--objective", "pf"),
+    ], ids=["point-voting", "supporting-size", "two-alt"])
+    def test_bad_number_argument_exits_cleanly(self, capsys, triad_file, argv, token):
+        code, out, err = invoke(capsys, *(a.format(profile=triad_file, t=token)
+                                          for a in argv))
+        assert code in (0, 1)
+        if code == 1:
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("rule", "slr", "{profile}", "--dump-lottery", "{path}"),
+        ("gen", "cyclic", "--m", "4", "--r", "2", "--width", "2", "-o", "{path}"),
+    ], ids=["dump-lottery", "gen"])
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing-dir", "directory"])
+    def test_unwritable_output_path_exits_one(self, capsys, tmp_path, triad_file, argv,
+                                              missing):
+        path = tmp_path / "missing" / "out"
+        if not missing:  # a directory stands where each file would go
+            path = tmp_path / "taken"
+            path.mkdir()
+            (tmp_path / "taken.soc").mkdir()
+        code, out, err = invoke(capsys, *(a.format(profile=triad_file, path=path)
+                                          for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("probs,utils,bad", [
+        ('["{big}", 0.5, 0.5]', '[[1, 0, 0], [0, 1, 0], [1, 0, 0]]', "distribution"),
+        ("[1, 0, 0]", '[["{big}", 0.5, 0], [0, 1, 0], [1, 0, 0]]', "utility profile"),
+    ], ids=["distribution", "utilities"])
+    def test_p_over_q_beyond_float_range_exits_one(self, capsys, tmp_path, triad_file,
+                                                   probs, utils, bad):
+        # the checks add the Fraction to a float, which overflows
+        big = "1" + "0" * 400 + "/1"
+        xp, up = tmp_path / "x.json", tmp_path / "u.json"
+        xp.write_text('{"m": 3, "probs": %s}' % probs.format(big=big), encoding="utf-8")
+        up.write_text('{"utils": %s}' % utils.format(big=big), encoding="utf-8")
+        code, out, err = invoke(capsys, "eval", "sw", triad_file, str(xp), "--utils", str(up))
         assert code == 1 and out == ""
         assert err.startswith(f"error: bad {bad}") and err.count("\n") == 1
 

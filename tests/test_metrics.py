@@ -584,6 +584,18 @@ class TestPFDistortion:
             mix = lam * x1 + (1 - lam) * x2
             assert f(mix / mix.sum()) <= lam * f(x1) + (1 - lam) * f(x2) + 1e-12
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative-zero"])
+    def test_zero_mass_gives_infinite_payoff(self, zero):
+        from fairvote.optimize import _PFObjective
+
+        p = fv.parse_profile("2 2\n1 2\n2 1\n")
+        x = fv.Distribution((zero, 1.0))
+        assert fv.pf_payoffs(x, p)[0] == math.inf
+        assert fv.pf_distortion(x, p).value == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _PFObjective(p).payoffs(x.as_array())[0] == math.inf
+
 
 class TestLazyWitness:
     """`distortion` and `pf_distortion` keep the witness as per-ballot arrays
